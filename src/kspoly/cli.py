@@ -1,9 +1,10 @@
 """Command-line surface: basis tables, proof counting, word reports, and
 geometry checks, with deterministic text/json/csv output.
 
-Exit codes: 0 success; 2 bad arguments or word parse error; 3 internal
-counting inconsistency; 4 word is not an odd nullspace element where one is
-required; 5 failed geometric claim.
+Exit codes: 0 success; 2 bad arguments, word parse error or a non-integer
+KSPOLY_NODE_BUDGET; 3 internal counting inconsistency; 4 word is not an odd
+nullspace element where one is required; 5 failed geometric claim; 6 a
+search or enumeration ran past its limit (node budget, enumeration size).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_NOT_PROOF = 4
 EXIT_GEOMETRY = 5
+EXIT_LIMIT = 6
 
 
 class CliError(Exception):
@@ -143,7 +145,11 @@ def cmd_word(args) -> int:
             cert = contextuality.certificate_for_bases([])
         doc["certificate"] = contextuality.certificate_to_json(cert)
         if args.check_assignment and word.letters:
-            assignment = contextuality.find_ks_assignment(proof.bases())
+            try:
+                assignment = contextuality.find_ks_assignment(proof.bases())
+            except ValueError as exc:
+                raise CliError(f"bad {contextuality.NODE_BUDGET_ENV}: {exc}",
+                               EXIT_USAGE)
             doc["assignment_exists"] = assignment is not None
         text_lines = [f"word {doc['word'] or '(empty)'}: "
                       f"{'valid' if cert.valid else 'invalid'} "
@@ -373,6 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"kspoly: {exc}", file=sys.stderr)
         return exc.code
+    except (contextuality.SearchBudgetExceeded,
+            gf2.EnumerationLimitError) as exc:
+        print(f"kspoly: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .gf2 import BitMatrix, EnumerationLimitError, gf2_nullspace
+from .gf2 import (BitMatrix, EnumerationLimitError, _support,
+                  gf2_nullspace)
 from .raysystem import (Basis, BasisTable, Word, parse_word, render_word,
                         word_to_bases)
 
@@ -59,16 +60,7 @@ class ParityCertificate:
 
 def verify_parity_proof(p: Proof) -> ParityCertificate:
     """Check the defining parity condition basis-count odd, rays all even."""
-    occ: dict[int, int] = {}
-    for b in p.bases():
-        for r in b:
-            occ[r] = occ.get(r, 0) + 1
-    offending = tuple(sorted(r for r, c in occ.items() if c % 2))
-    count = len(p.basis_indices)
-    return ParityCertificate(valid=(count % 2 == 1 and not offending),
-                             basis_count=count,
-                             ray_occurrences=occ,
-                             offending_rays=offending)
+    return certificate_for_bases(p.bases())
 
 
 def certificate_for_bases(bases: Sequence[Basis]) -> ParityCertificate:
@@ -92,104 +84,108 @@ def find_ks_assignment(bases: Sequence[Basis],
                        node_budget: int | None = None
                        ) -> dict[int, int] | None:
     """Exhaustive search for a {0,1} ray assignment with exactly one 1 per
-    basis.  Returns such an assignment, or None if none exists (complete
-    backtracking; branches on the unsatisfied basis with fewest options).
+    basis.  Returns such an assignment (every ray of the input, unforced
+    rays 0), or None if none exists.
 
-    node_budget caps branching nodes; default comes from KSPOLY_NODE_BUDGET.
+    The search is a deterministic, complete backtracking search.  It
+    branches on the unsatisfied basis with the fewest free (not yet 0)
+    rays, ties going to the lowest input index, and tries its free rays in
+    basis order.  A node is one such try: the ray is set to 1 and unit
+    propagation follows (the rest of a satisfied basis goes to 0; a basis
+    left with one free ray sets it to 1).  The search is iterative, so its
+    depth is not bounded by the recursion limit; each stack frame keeps
+    its own state, so backtracking drops a frame and undoes nothing.
+
+    node_budget caps the nodes; default comes from KSPOLY_NODE_BUDGET.
+    SearchBudgetExceeded is raised on the first node past the budget.
     """
     if node_budget is None:
         node_budget = int(os.environ.get(NODE_BUDGET_ENV,
                                          DEFAULT_NODE_BUDGET))
-    bases = [tuple(b) for b in bases]
     if not bases:
         return {}
+    # rays are bit positions; a state is (one, zero, free): the rays set to
+    # 1, the rays set to 0, and per basis its free-ray count, or `done`
+    # once the basis holds its 1
     rays = sorted({r for b in bases for r in b})
-    of_ray: dict[int, list[int]] = {r: [] for r in rays}
-    for bi, b in enumerate(bases):
-        for r in b:
-            of_ray[r].append(bi)
+    pos = {r: i for i, r in enumerate(rays)}
+    cols = [tuple(pos[r] for r in b) for b in bases]
+    masks = [sum(1 << p for p in set(b)) for b in cols]
+    of_ray: list[list[int]] = [[] for _ in rays]
+    for bi, b in enumerate(cols):
+        for p in b:
+            of_ray[p].append(bi)
+    nbr: list[int | None] = [None] * len(rays)  # built on first use
+    done = max(map(len, cols)) + 1  # above every free count
 
-    value: dict[int, int] = {}
-    ones = [0] * len(bases)
-    zeros = [0] * len(bases)
+    def set_one(p: int, one: int, zero: int,
+                free: list[int]) -> tuple[int, int] | None:
+        """Set ray p to 1 with unit propagation (free is updated in place);
+        the new (one, zero), or None on contradiction."""
+        todo = [p]
+        while todo:
+            p = todo.pop()
+            bit = 1 << p
+            if one & bit:
+                continue
+            if zero & bit:
+                return None
+            m = nbr[p]
+            if m is None:
+                m = 0
+                for bi in of_ray[p]:
+                    m |= masks[bi]
+                m = nbr[p] = m & ~bit
+            if one & m:
+                return None
+            one |= bit
+            for bi in of_ray[p]:
+                free[bi] = done
+            new = m & ~zero
+            zero |= new
+            while new:
+                low = new & -new
+                new ^= low
+                for bi in of_ray[low.bit_length() - 1]:
+                    f = free[bi]
+                    if f == done:
+                        continue
+                    free[bi] = f = f - 1
+                    if f == 1:
+                        rest = masks[bi] & ~zero
+                        if not rest:
+                            return None
+                        todo.append(rest.bit_length() - 1)
+                    elif f == 0:
+                        return None
+        return one, zero
+
     nodes = 0
-
-    def set_ray(r: int, val: int, trail: list[int]) -> bool:
-        """Assign with unit propagation; False on contradiction."""
-        queue = [(r, val)]
-        while queue:
-            r, val = queue.pop()
-            if r in value:
-                if value[r] != val:
-                    return False
-                continue
-            value[r] = val
-            trail.append(r)
-            # update every counter first so that undo() stays consistent
-            # even when a contradiction is detected below
-            for bi in of_ray[r]:
-                if val:
-                    ones[bi] += 1
-                else:
-                    zeros[bi] += 1
-            for bi in of_ray[r]:
-                if val:
-                    if ones[bi] > 1:
-                        return False
-                    # the basis is satisfied: every other ray must be 0
-                    for other in bases[bi]:
-                        if other not in value:
-                            queue.append((other, 0))
-                elif ones[bi] == 0:
-                    free = len(bases[bi]) - zeros[bi]
-                    if free == 0:
-                        return False
-                    if free == 1:
-                        forced = next(o for o in bases[bi]
-                                      if o not in value)
-                        queue.append((forced, 1))
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for r in trail:
-            val = value.pop(r)
-            for bi in of_ray[r]:
-                if val:
-                    ones[bi] -= 1
-                else:
-                    zeros[bi] -= 1
-
-    def branch_basis() -> int | None:
-        best, best_free = None, None
-        for bi, b in enumerate(bases):
-            if ones[bi]:
-                continue
-            free = len(b) - zeros[bi]
-            if best_free is None or free < best_free:
-                best, best_free = bi, free
-        return best
-
-    def search() -> bool:
-        nonlocal nodes
-        bi = branch_basis()
-        if bi is None:
-            return True
-        for r in bases[bi]:
-            if r in value:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"assignment search exceeded {node_budget} nodes")
-            trail: list[int] = []
-            if set_ray(r, 1, trail) and search():
-                return True
-            undo(trail)
-        return False
-
-    if not search():
-        return None
-    return {r: value.get(r, 0) for r in rays}
+    free = [len(b) for b in cols]
+    stack = [[free.index(min(free)), 0, 0, 0, free]]
+    while stack:
+        frame = stack[-1]
+        bi, i, one, zero, free = frame
+        b = cols[bi]
+        while i < len(b) and zero >> b[i] & 1:
+            i += 1
+        if i == len(b):
+            stack.pop()
+            continue
+        frame[1] = i + 1
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"assignment search exceeded {node_budget} nodes")
+        child = free.copy()
+        state = set_one(b[i], one, zero, child)
+        if state is None:
+            continue
+        least = min(child)
+        if least == done:
+            return {r: state[0] >> p & 1 for p, r in enumerate(rays)}
+        stack.append([child.index(least), 0, *state, child])
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +227,7 @@ def incidence_nullspace_proofs(p: Proof, cap: int = 10_000,
         v ^= spec.nullspace_basis[(i & -i).bit_length() - 1]
         if v.bit_count() % 2 == 0:
             continue
-        members = frozenset(order[j] for j in _bits(v))
+        members = frozenset(order[j] for j in _support(v))
         subs.append(members)
         if len(subs) > cap:
             truncated = True
@@ -240,15 +236,6 @@ def incidence_nullspace_proofs(p: Proof, cap: int = 10_000,
     subs.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return Decomposition(tuple(Proof(p.table, s) for s in subs),
                          truncated, spec.k)
-
-
-def _bits(v: int) -> list[int]:
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out
 
 
 def is_irreducible(p: Proof) -> bool:

@@ -197,14 +197,22 @@ def test_criterion_08_decomposition_fixtures(cell120, gosset):
           "stated); the 7-letter proof is irreducible")
 
 
+# the published 120-cell proofs whose search runs past any practical node
+# budget (millions of nodes); every other published proof is searched
+BUDGET_FAILURES = {"abegkri'", "bdklsxy", "fghilmsup'", "abfghikmnsj'",
+                   "defghikmsun'"}
+
+
 def test_criterion_09_ks_property(cell600, cell120, gosset, gosset_words):
     searched = 0
     fixtures = []
+    gosset_texts = [" ".join(t) for t in gosset_words if len(t) == 1]
+    gosset_texts += [t for t, _ in PROOFS_GOSSET if t not in gosset_texts]
     for fixture, texts in (
             (cell600, ["a", "b"]),
-            (cell120, ["j", "q", "r'", "s'", "cdy"]),
-            (gosset, [" ".join(t) for t in gosset_words if len(t) == 1]
-             + ["a1 c1 e'2", "a1 h1 n5", "c1 h1 i4"])):
+            (cell120, [t for t, *_ in PROOFS_120
+                       if t not in BUDGET_FAILURES]),
+            (gosset, gosset_texts)):
         _, _, table, *_rest = fixture
         for text in texts:
             fixtures.append(proof_from_word(parse_word(text), table))
@@ -217,7 +225,6 @@ def test_criterion_09_ks_property(cell600, cell120, gosset, gosset_words):
             if verify_parity_proof(s).valid:
                 fixtures.append(s)
     for p in fixtures:
-        assert len(p.basis_indices) <= 45
         if not verify_parity_proof(p).valid:
             continue
         assert find_ks_assignment(p.bases()) is None

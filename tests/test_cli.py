@@ -174,6 +174,36 @@ def test_word_verify_with_assignment_check(capsys):
     assert json.loads(out)["assignment_exists"] is False
 
 
+def test_word_verify_node_budget_exit6(capsys, monkeypatch):
+    monkeypatch.setenv("KSPOLY_NODE_BUDGET", "1")
+    code = main(["word", "--polytope", "600cell", "a", "verify",
+                 "--check-assignment"])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err == "kspoly: assignment search exceeded 1 nodes\n"
+
+
+def test_word_verify_bad_node_budget_exit2(capsys, monkeypatch):
+    monkeypatch.setenv("KSPOLY_NODE_BUDGET", "abc")
+    code = main(["word", "--polytope", "600cell", "a", "verify",
+                 "--check-assignment"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("kspoly: bad KSPOLY_NODE_BUDGET: ")
+    assert err.count("\n") == 1
+
+
+def test_word_minimal_past_support_limit_exit6(capsys):
+    # 27 letters: beyond the exact-search limit of 25
+    code = main(["word", "--polytope", "120cell",
+                 "abcdefghijklmnopqrstuvwxyza'", "minimal"])
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err == ("kspoly: support 27 exceeds the exact-search limit "
+                   "25\n")
+
+
 def test_word_parse_error_exit2(capsys):
     code, _ = run(capsys, "word", "--polytope", "600cell", "a!!", "symbol")
     assert code == 2

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PROOFS_120, PROOFS_GOSSET
 from kspoly.contextuality import (SearchBudgetExceeded,
@@ -120,6 +122,61 @@ def test_assignment_covers_exactly_examined_rays(cell120):
     assert set(assignment) == {r for b in bases for r in b}
     for b in bases:
         assert sum(assignment[r] for r in b) == 1
+
+
+def test_gosset_e1_search_tree_size_is_pinned(gosset):
+    """e1 is refuted in exactly 15,163 nodes: one fewer exhausts the
+    budget.  Any change to the branching rule or the propagation moves
+    this count."""
+    bases = word_proof(gosset, "e1").bases()
+    with pytest.raises(SearchBudgetExceeded):
+        find_ks_assignment(bases, node_budget=15_162)
+    assert find_ks_assignment(bases, node_budget=15_163) is None
+
+
+def test_branching_rule():
+    """Branch on the fewest free rays, lowest index on ties, rays in basis
+    order: basis (2, 3) beats (3, 4) on the tie and ray 2 goes first, which
+    forces 4.  Branching on the first unsatisfied basis, on the last tied
+    one, or on the rays in reverse order would set 0 and 3 instead."""
+    assignment = find_ks_assignment([(0, 1, 2), (2, 3), (3, 4)])
+    assert assignment == {0: 0, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+def test_deep_search_needs_no_recursion():
+    """1,200 disjoint bases make a search 1,200 decisions deep, past the
+    default recursion limit of a recursive search."""
+    bases = [tuple(range(4 * i, 4 * i + 4)) for i in range(1200)]
+    assignment = find_ks_assignment(bases)
+    assert assignment is not None
+    assert sum(assignment.values()) == 1200
+
+
+def brute_force_assignment_exists(bases) -> bool:
+    """Try every 0/1 vector over the rays, one bit per ray."""
+    rays = sorted({r for b in bases for r in b})
+    masks = [sum(1 << rays.index(r) for r in b) for b in bases]
+    return any(all((ones & m).bit_count() == 1 for m in masks)
+               for ones in range(1 << len(rays)))
+
+
+# up to 10 bases over at most 12 rays, each basis 0-5 distinct rays; the
+# second draw repeats some of the first
+_basis = st.lists(st.integers(0, 11), unique=True, max_size=5).map(tuple)
+_instances = st.lists(_basis, min_size=1, max_size=10).flatmap(
+    lambda bs: st.lists(st.sampled_from(bs), max_size=10 - len(bs))
+    .map(lambda repeats: bs + repeats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances)
+def test_search_agrees_with_brute_force(bases):
+    assignment = find_ks_assignment(bases, node_budget=10**6)
+    assert (assignment is not None) == brute_force_assignment_exists(bases)
+    if assignment is not None:
+        assert set(assignment) == {r for b in bases for r in b}
+        for b in bases:
+            assert sum(assignment[r] for r in b) == 1
 
 
 # --------------------------------------------------------------------------
