@@ -22,6 +22,6 @@ from .geometry import (RaySet, build_120cell_rays, coxeter_projection,
                        e8_rays, enumerate_bases, icosian_600cell,
                        match_labeling, orthogonality_graph, rigidity_demo,
                        scale_by_alpha)
-from .golden import ALPHA, BETA, GoldenInt, golden_dot, phi_map
+from .golden import ALPHA, BETA, phi_map
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line surface: basis tables, proof counting, word reports, and
 geometry checks, with deterministic text/json/csv output.
 
-Exit codes: 0 success; 2 bad arguments, word parse error or a non-integer
-KSPOLY_NODE_BUDGET; 3 internal counting inconsistency; 4 word is not an odd
+Exit codes: 0 success; 2 bad arguments, word parse error, a non-integer
+KSPOLY_NODE_BUDGET, or a --data file that is missing, unreadable or not a
+valid dataset; 3 internal counting inconsistency; 4 word is not an odd
 nullspace element where one is required; 5 failed geometric claim; 6 a
 search or enumeration ran past its limit (node budget, enumeration size).
 """
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import contextuality, geometry, gf2, raysystem
-from .datasets import expected_counts, load_polytope
+from .datasets import DatasetError, expected_counts, load_polytope
 from .raysystem import POLYTOPES
 
 EXIT_OK = 0
@@ -39,9 +40,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _context(args) -> tuple:
-    layout, gens = load_polytope(args.polytope, getattr(args, "data", None))
-    return layout, gens
+def _report(doc: dict, text_lines: list[str], args) -> None:
+    if args.format == "json":
+        text = json.dumps(doc, indent=1) + "\n"
+    else:
+        text = "\n".join(text_lines) + "\n"
+    _emit(text, args.out)
 
 
 # --------------------------------------------------------------------------
@@ -49,7 +53,7 @@ def _context(args) -> tuple:
 
 
 def cmd_gen_bases(args) -> int:
-    layout, gens = _context(args)
+    layout, gens = load_polytope(args.polytope, args.data)
     table = raysystem.build_basis_table(layout, gens)
     if args.format == "json":
         text = json.dumps(raysystem.table_to_json(table), indent=1) + "\n"
@@ -80,7 +84,7 @@ def _weight_pipeline(layout, gens):
 
 
 def cmd_weights(args) -> int:
-    layout, gens = _context(args)
+    layout, gens = load_polytope(args.polytope, args.data)
     try:
         pm, spec, dist = _weight_pipeline(layout, gens)
     except gf2.WeightTransformError as exc:
@@ -122,7 +126,7 @@ def _symbol_json(sym: raysystem.RayBasisSymbol) -> dict:
 
 
 def cmd_word(args) -> int:
-    layout, gens = _context(args)
+    layout, gens = load_polytope(args.polytope, args.data)
     try:
         word = raysystem.parse_word(args.word, layout.polytope)
         labels = {g.label for g in gens}
@@ -210,12 +214,7 @@ def cmd_word(args) -> int:
                               ",".join(map(str, local)))
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown action {args.action}", EXIT_USAGE)
-
-    if args.format == "json":
-        text = json.dumps(doc, indent=1) + "\n"
-    else:
-        text = "\n".join(text_lines) + "\n"
-    _emit(text, args.out)
+    _report(doc, text_lines, args)
     return EXIT_OK
 
 
@@ -224,96 +223,66 @@ def cmd_word(args) -> int:
 
 
 def _build_rayset(polytope: str) -> geometry.RaySet:
-    if polytope == "600cell":
-        return geometry.icosian_600cell()
-    if polytope == "120cell":
-        return geometry.build_120cell_rays()
-    return geometry.e8_rays()
+    return {"600cell": geometry.icosian_600cell,
+            "120cell": geometry.build_120cell_rays,
+            "gosset": geometry.e8_rays}[polytope]()
 
 
 def cmd_geometry(args) -> int:
     doc: dict = {"check": args.check}
-    text_lines: list[str] = []
     if args.check == "rigidity":
         report = geometry.rigidity_demo()
         doc["claims"] = [{"name": c.name, "passed": c.passed,
                           "detail": c.detail} for c in report.claims]
-        doc["all_passed"] = report.all_passed
+        doc["all_passed"] = ok = report.all_passed
         text_lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
                       for c in report.claims]
-        _finish_geometry(doc, text_lines, args)
-        if not report.all_passed:
-            raise CliError("rigidity demonstration claims failed",
-                           EXIT_GEOMETRY)
-        return EXIT_OK
-
-    doc["polytope"] = args.polytope
-    rays, _, _, n_bases, per_ray = expected_counts(args.polytope)
-    rs = _build_rayset(args.polytope)
+        failure = "rigidity demonstration claims failed"
+    else:
+        doc["polytope"] = args.polytope
+        rs = _build_rayset(args.polytope)
     if args.check == "construct":
+        rays, _, _, n_bases, per_ray = expected_counts(args.polytope)
         graph = geometry.orthogonality_graph(rs)
-        bases = geometry.enumerate_bases(
-            graph, 8 if args.polytope == "gosset" else 4)
-        occ: dict[int, int] = {}
-        for b in bases:
-            for r in b:
-                occ[r] = occ.get(r, 0) + 1
+        bases = geometry.enumerate_bases(graph, rs.dimension)
+        counts = sorted(set(raysystem.ray_occurrences(bases).values()))
         doc.update({"rays": len(rs), "edges": graph.n_edges,
-                    "bases": len(bases),
-                    "bases_per_ray": sorted(set(occ.values())),
+                    "bases": len(bases), "bases_per_ray": counts,
                     "saturated": geometry.saturated(graph, bases)})
-        ok = (len(rs) == rays and len(bases) == n_bases
-              and set(occ.values()) == {per_ray} and doc["saturated"])
-        doc["ok"] = ok
+        doc["ok"] = ok = (len(rs) == rays and len(bases) == n_bases
+                          and counts == [per_ray] and doc["saturated"])
         text_lines = [f"{args.polytope}: {len(rs)} rays, "
                       f"{graph.n_edges} orthogonal pairs, "
-                      f"{len(bases)} bases, each ray in "
-                      f"{sorted(set(occ.values()))}"]
-        _finish_geometry(doc, text_lines, args)
-        if not ok:
-            raise CliError("construction counts do not match", EXIT_GEOMETRY)
-        return EXIT_OK
-    if args.check == "project":
+                      f"{len(bases)} bases, each ray in {counts}"]
+        failure = "construction counts do not match"
+    elif args.check == "project":
         proj = geometry.coxeter_projection(rs)
         classes = geometry.pentadecagon_classes(proj)
         doc["pentadecagons"] = [
             {"radius": round(r, 6), "rays": len(m)} for r, _, m in classes]
-        ok = all(len(m) == 15 for _, _, m in classes)
-        doc["ok"] = ok
-        if args.format == "csv":
-            _emit(geometry.projection_to_csv(proj), args.out)
-            if not ok:
-                raise CliError("projection classes malformed", EXIT_GEOMETRY)
-            return EXIT_OK
+        doc["ok"] = ok = all(len(m) == 15 for _, _, m in classes)
         text_lines = [f"{r:.4f}  {len(m)} rays" for r, _, m in classes]
-        _finish_geometry(doc, text_lines, args)
-        if not ok:
-            raise CliError("projection classes malformed", EXIT_GEOMETRY)
-        return EXIT_OK
-    # match
-    layout, gens = load_polytope(args.polytope, args.data)
-    table = raysystem.build_basis_table(layout, gens)
-    graph = geometry.orthogonality_graph(rs)
-    computed = geometry.enumerate_bases(
-        graph, 8 if args.polytope == "gosset" else 4)
-    try:
-        mapping = geometry.match_labeling(computed, table)
-    except geometry.MatchError as exc:
-        raise CliError(f"match failed: {exc}", EXIT_GEOMETRY)
-    doc["ok"] = True
-    doc["mapped_rays"] = len(mapping)
-    text_lines = [f"{args.polytope}: geometric bases match the generator "
-                  f"table ({len(mapping)} rays mapped)"]
-    _finish_geometry(doc, text_lines, args)
-    return EXIT_OK
-
-
-def _finish_geometry(doc: dict, text_lines: list[str], args) -> None:
-    if args.format == "json":
-        text = json.dumps(doc, indent=1) + "\n"
+        failure = "projection classes malformed"
+    elif args.check == "match":
+        layout, gens = load_polytope(args.polytope, args.data)
+        table = raysystem.build_basis_table(layout, gens)
+        graph = geometry.orthogonality_graph(rs)
+        computed = geometry.enumerate_bases(graph, rs.dimension)
+        try:
+            mapping = geometry.match_labeling(computed, table)
+        except geometry.MatchError as exc:
+            raise CliError(f"match failed: {exc}", EXIT_GEOMETRY)
+        doc["ok"] = ok = True
+        doc["mapped_rays"] = len(mapping)
+        text_lines = [f"{args.polytope}: geometric bases match the "
+                      f"generator table ({len(mapping)} rays mapped)"]
+    if args.check == "project" and args.format == "csv":
+        _emit(geometry.projection_to_csv(proj), args.out)
     else:
-        text = "\n".join(text_lines) + "\n"
-    _emit(text, args.out)
+        _report(doc, text_lines, args)
+    if not ok:
+        raise CliError(failure, EXIT_GEOMETRY)
+    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -379,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"kspoly: {exc}", file=sys.stderr)
         return exc.code
+    except DatasetError as exc:
+        print(f"kspoly: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (contextuality.SearchBudgetExceeded,
             gf2.EnumerationLimitError) as exc:
         print(f"kspoly: {exc}", file=sys.stderr)

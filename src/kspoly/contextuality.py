@@ -10,15 +10,14 @@ of its GF(2) nullspace is an embedded sub-proof.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .gf2 import (BitMatrix, EnumerationLimitError, _support,
                   gf2_nullspace)
-from .raysystem import (Basis, BasisTable, Word, parse_word, render_word,
-                        word_to_bases)
+from .raysystem import (Basis, BasisTable, Word, parse_word, ray_occurrences,
+                        render_word, word_to_bases)
 
 NODE_BUDGET_ENV = "KSPOLY_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -65,10 +64,7 @@ def verify_parity_proof(p: Proof) -> ParityCertificate:
 
 def certificate_for_bases(bases: Sequence[Basis]) -> ParityCertificate:
     """Parity certificate over raw bases (no table needed)."""
-    occ: dict[int, int] = {}
-    for b in bases:
-        for r in b:
-            occ[r] = occ.get(r, 0) + 1
+    occ = ray_occurrences(bases)
     offending = tuple(sorted(r for r, c in occ.items() if c % 2))
     return ParityCertificate(valid=(len(bases) % 2 == 1 and not offending),
                              basis_count=len(bases),
@@ -305,8 +301,3 @@ def certificate_to_json(cert: ParityCertificate) -> dict:
             "offending_rays": list(cert.offending_rays),
             "ray_occurrences": {str(r): c for r, c
                                 in sorted(cert.ray_occurrences.items())}}
-
-
-def load_proof(path: str, table: BasisTable) -> Proof:
-    with open(path) as fh:
-        return proof_from_json(json.load(fh), table)

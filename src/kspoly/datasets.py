@@ -17,17 +17,57 @@ _EXPECTED = {
 }
 
 
+class DatasetError(ValueError):
+    """A dataset file that cannot be read, or that does not have the shape
+    of dataset.schema.json; the message names the file or field."""
+
+
+# the JSON type of each Python type json.loads produces
+_JSON_NAMES = {str: "string", int: "integer", float: "number",
+               bool: "boolean", list: "array", dict: "object",
+               type(None): "null"}
+
+
+def _typed(value, kind: str, name: str):
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    if got != kind and (kind, got) != ("number", "integer"):
+        raise DatasetError(f"field {name}: expected {kind}, got {got}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: str, where: str = ""):
+    name = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise DatasetError(f"missing field {name}")
+    return _typed(obj[key], kind, name)
+
+
+def _objects(doc: dict, key: str):
+    """(field path, object) for each item of an array of objects."""
+    for i, item in enumerate(_field(doc, key, "array")):
+        yield f"{key}[{i}]", _typed(item, "object", f"{key}[{i}]")
+
+
 def dataset_from_dict(doc: dict) -> tuple[PentadecagonLayout, tuple[Generator, ...]]:
+    if not isinstance(doc, dict):
+        raise DatasetError("a dataset must be a JSON object")
     layout = PentadecagonLayout(
-        polytope=doc["polytope"],
-        dimension=int(doc["dimension"]),
+        polytope=_field(doc, "polytope", "string"),
+        dimension=_field(doc, "dimension", "integer"),
         pentadecagons=tuple(
-            Pentadecagon(p["label"], int(p["lo"]), int(p["hi"]),
-                         float(p["radius"]), float(p["angle_deg"]))
-            for p in doc["pentadecagons"]),
+            Pentadecagon(_field(p, "label", "string", where),
+                         _field(p, "lo", "integer", where),
+                         _field(p, "hi", "integer", where),
+                         float(_field(p, "radius", "number", where)),
+                         float(_field(p, "angle_deg", "number", where)))
+            for where, p in _objects(doc, "pentadecagons")),
     )
-    generators = tuple(Generator(g["label"], tuple(int(r) for r in g["rays"]))
-                       for g in doc["generators"])
+    generators = tuple(
+        Generator(_field(g, "label", "string", where),
+                  tuple(_typed(r, "integer", f"{where}.rays[{j}]")
+                        for j, r in enumerate(
+                            _field(g, "rays", "array", where))))
+        for where, g in _objects(doc, "generators"))
     check_generators(layout, generators)
     return layout, generators
 
@@ -53,10 +93,22 @@ def data_text(name: str) -> str:
 def load_polytope(polytope: str,
                   path: str | Path | None = None
                   ) -> tuple[PentadecagonLayout, tuple[Generator, ...]]:
-    """Load a built-in dataset, or an external JSON file when path is given."""
+    """Load a built-in dataset, or an external JSON file when path is given.
+
+    Raises DatasetError when the file cannot be read or is not a valid
+    dataset.
+    """
     if path is not None:
-        doc = json.loads(Path(path).read_text())
-        return dataset_from_dict(doc)
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise DatasetError(f"cannot read {path}: {exc.strerror}") from exc
+        try:
+            return dataset_from_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # DatasetError and the layout checks
+            raise DatasetError(f"{path}: {exc}") from exc
     if polytope not in POLYTOPES:
         raise ValueError(f"unknown polytope {polytope!r}; "
                          f"expected one of {POLYTOPES}")

@@ -18,51 +18,43 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import golden
 from .datasets import data_text
-from .golden import (ALPHA, BETA, GoldenInt, GoldenVector, canonical_sign,
-                     golden_dot, gvec, phi_map, vec_neg, vec_scale,
-                     vec_values)
+from .gf2 import _support
+from .golden import (ALPHA, BETA, ZERO, Golden, GoldenVector, canonical_sign,
+                     gvec, phi_map, vec_neg, vec_scale, vec_values)
 from .raysystem import Basis, BasisTable
 
-IntVector = tuple[int, ...]
+FloatVector = tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class RaySet:
-    """One representative vector per antipodal pair of polytope vertices."""
+    """One representative golden vector per antipodal pair of polytope
+    vertices, sign-canonical (first nonzero coordinate positive)."""
 
     polytope: str
-    kind: str  # "golden" (GoldenVector entries) or "int" (integer tuples)
-    vectors: tuple[tuple, ...]
+    vectors: tuple[GoldenVector, ...]
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def dot(self, i: int, j: int):
-        if self.kind == "golden":
-            return golden_dot(self.vectors[i], self.vectors[j])
-        return sum(a * b for a, b in zip(self.vectors[i], self.vectors[j]))
+    @property
+    def dimension(self) -> int:
+        return len(self.vectors[0])
+
+    def dot(self, i: int, j: int) -> Golden:
+        return golden.dot(self.vectors[i], self.vectors[j])
 
     def is_orthogonal(self, i: int, j: int) -> bool:
-        d = self.dot(i, j)
-        return d.is_zero() if self.kind == "golden" else d == 0
+        return self.dot(i, j) == ZERO
 
-    def contains_up_to_sign(self, v) -> bool:
-        if self.kind == "golden":
-            return canonical_sign(v) in self.vectors
-        return (v in self.vectors
-                or tuple(-c for c in v) in self.vectors)
-
-    def float_vectors(self) -> np.ndarray:
-        if self.kind == "golden":
-            return np.array([vec_values(v) for v in self.vectors])
-        return np.array(self.vectors, dtype=float)
+    def contains_up_to_sign(self, v: GoldenVector) -> bool:
+        return canonical_sign(v) in self.vectors
 
 
 # --------------------------------------------------------------------------
@@ -83,12 +75,6 @@ def signed_permutation_group() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return ops
 
 
-def _apply_op(op, v: GoldenVector) -> GoldenVector:
-    perm, signs = op
-    return tuple(v[perm[i]] if signs[i] == 1 else -v[perm[i]]
-                 for i in range(4))
-
-
 _H4_SEEDS = (
     gvec(2, 0, 0, 0),
     gvec(1, 1, 1, 1),
@@ -102,45 +88,39 @@ def icosian_600cell() -> RaySet:
     ops = signed_permutation_group()
     vectors: set[GoldenVector] = set()
     for seed, expect in zip(_H4_SEEDS, _H4_ORBIT_SIZES):
-        orbit = {_apply_op(op, seed) for op in ops}
+        orbit = {tuple((s * seed[p][0], s * seed[p][1])
+                       for p, s in zip(perm, signs)) for perm, signs in ops}
         if len(orbit) != expect:
             raise RuntimeError(f"orbit of {seed} has {len(orbit)} vectors, "
                                f"expected {expect}")
         vectors |= orbit
     if len(vectors) != 120:
         raise RuntimeError(f"expected 120 vertices, got {len(vectors)}")
-    rays = sorted({canonical_sign(v) for v in vectors},
-                  key=lambda v: tuple((c.m, c.n) for c in v))
+    rays = sorted({canonical_sign(v) for v in vectors})
     if len(rays) != 60:
         raise RuntimeError("antipodal merge did not yield 60 rays")
-    return RaySet("600cell", "golden", tuple(rays))
+    return RaySet("600cell", tuple(rays))
 
 
 def scale_by_alpha(rs: RaySet) -> RaySet:
     """Coordinatewise multiplication by a (the second, scaled 600-cell)."""
-    if rs.kind != "golden":
-        raise ValueError("can only scale golden ray sets")
     rays = tuple(canonical_sign(vec_scale(ALPHA, v)) for v in rs.vectors)
-    return RaySet(rs.polytope, "golden", rays)
+    return RaySet(rs.polytope, rays)
 
 
 def e8_rays() -> RaySet:
     """The 120 rays (240 roots) of E8 as the coordinate-map image of the
-    two concentric 600-cells."""
+    two concentric 600-cells, as golden vectors with integer entries."""
     h4a = icosian_600cell()
     h4b = scale_by_alpha(h4a)
-    images = []
-    for v in h4a.vectors + h4b.vectors:
-        w = phi_map(v)
-        if w[next(i for i, c in enumerate(w) if c)] < 0:
-            w = tuple(-c for c in w)
-        images.append(w)
-    if len(set(images)) != 120:
+    images = {canonical_sign(gvec(*phi_map(v)))
+              for v in h4a.vectors + h4b.vectors}
+    if len(images) != 120:
         raise RuntimeError("coordinate map did not give 120 distinct rays")
     for w in images:
-        if sum(c * c for c in w) != 4:
+        if golden.dot(w, w) != (4, 0):
             raise RuntimeError(f"root {w} has squared norm != 4")
-    return RaySet("gosset", "int", tuple(sorted(set(images))))
+    return RaySet("gosset", tuple(sorted(images)))
 
 
 # --------------------------------------------------------------------------
@@ -155,57 +135,39 @@ def build_120cell_rays() -> RaySet:
     the same set as the cell centers of the 600-cell).
     """
     doc = json.loads(data_text("120cell_rays.json"))
-    rays = tuple(tuple(GoldenInt(m, n) for m, n in v) for v in doc["rays"])
+    rays = tuple(tuple((m, n) for m, n in v) for v in doc["rays"])
     if len(set(rays)) != 300:
         raise RuntimeError(f"expected 300 distinct rays, got {len(rays)}")
-    norms = {golden_dot(v, v) for v in rays}
+    norms = {golden.dot(v, v) for v in rays}
     if len(norms) != 1:
         raise RuntimeError(f"rays not on one sphere: norms {norms}")
     for v in rays:
         if canonical_sign(v) != v:
             raise RuntimeError(f"ray {v} is not sign-canonical")
-    return RaySet("120cell", "golden", rays)
+    return RaySet("120cell", rays)
 
 
 def dual_120cell_rays() -> RaySet:
     """Re-derive the 120-cell rays as cell centers of the 600-cell.
 
     The 600 tetrahedral cells are the 4-cliques of the nearest-neighbour
-    graph (vertex inner product 2*phi at radius 2); each center is the
+    graph (vertex inner product 2*phi = 2 - 2a at radius 2); each center is the
     exact golden sum of its four vertices.  Independent of the data file.
     """
     h4 = icosian_600cell()
     verts = [v for u in h4.vectors for v in (u, vec_neg(u))]
-    two_phi = GoldenInt(2, -2)
-    adj = [set() for _ in verts]
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if golden_dot(verts[i], verts[j]) == two_phi:
-                adj[i].add(j)
-                adj[j].add(i)
-    centers: set[GoldenVector] = set()
-    n_cells = 0
-    for i in range(len(verts)):
-        for j in sorted(adj[i]):
-            if j < i:
-                continue
-            common = adj[i] & adj[j]
-            for k in sorted(common):
-                if k < j:
-                    continue
-                for m in sorted(common & adj[k]):
-                    if m > k:
-                        n_cells += 1
-                        cell = (i, j, k, m)
-                        centers.add(canonical_sign(tuple(
-                            sum((verts[x][t] for x in cell),
-                                golden.ZERO) for t in range(4))))
-    if n_cells != 600:
-        raise RuntimeError(f"expected 600 cells, found {n_cells}")
+    near = OrthoGraph(len(verts), tuple(
+        sum(1 << j for j, u in enumerate(verts) if golden.dot(v, u) == (2, -2))
+        for v in verts))
+    cells = enumerate_bases(near, 4)
+    if len(cells) != 600:
+        raise RuntimeError(f"expected 600 cells, found {len(cells)}")
+    centers = {canonical_sign(tuple(
+        (sum(verts[x][t][0] for x in cell), sum(verts[x][t][1] for x in cell))
+        for t in range(4))) for cell in cells}
     if len(centers) != 300:
         raise RuntimeError("cell centers did not merge to 300 rays")
-    rays = sorted(centers, key=lambda v: tuple((c.m, c.n) for c in v))
-    return RaySet("120cell", "golden", tuple(rays))
+    return RaySet("120cell", tuple(sorted(centers)))
 
 
 # --------------------------------------------------------------------------
@@ -222,24 +184,18 @@ class OrthoGraph:
         return sum(a.bit_count() for a in self.adjacency) // 2
 
     def edges(self) -> set[tuple[int, int]]:
-        out = set()
-        for i, bits in enumerate(self.adjacency):
-            v = bits >> (i + 1) << (i + 1)
-            while v:
-                low = v & -v
-                out.add((i, low.bit_length() - 1))
-                v ^= low
-        return out
+        return {(i, j) for i, bits in enumerate(self.adjacency)
+                for j in _support(bits >> (i + 1) << (i + 1))}
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
 
 def orthogonality_graph(rs: RaySet) -> OrthoGraph:
-    adj = [0] * len(rs)
-    for i in range(len(rs)):
-        for j in range(i + 1, len(rs)):
-            if rs.is_orthogonal(i, j):
+    vecs, adj = rs.vectors, [0] * len(rs)
+    for i, u in enumerate(vecs):
+        for j in range(i + 1, len(vecs)):
+            if golden.dot(u, vecs[j]) == ZERO:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return OrthoGraph(len(rs), tuple(adj))
@@ -298,49 +254,35 @@ def saturated(g: OrthoGraph, bases: Iterable[tuple[int, ...]]) -> bool:
 # triacontagonal (Coxeter-plane) projection
 
 
-# simple-system Gram matrices at root norm 4: off-diagonal entries are
-# -4*cos(pi/m) for diagram edges with mark m, zero for non-edges.
-_MINUS_2PHI = -2 * BETA  # -4*cos(pi/5), exactly, in the golden ring
-_H4_GRAM_EDGES = {(0, 1): _MINUS_2PHI,
-                  (1, 2): GoldenInt(-2, 0), (2, 3): GoldenInt(-2, 0)}
-_E8_GRAM_EDGES = {(0, 2): -2, (2, 3): -2, (3, 4): -2, (4, 5): -2,
-                  (5, 6): -2, (6, 7): -2, (1, 3): -2}
+# simple-system Gram matrices at root norm 4, by dimension (H4, E8):
+# off-diagonal entries are -4*cos(pi/m) for diagram edges with mark m,
+# zero for non-edges.  -4*cos(pi/5) = -2*phi = -2 + 2a exactly.
+_GRAM_EDGES = {
+    4: {(0, 1): (-2, 2), (1, 2): (-2, 0), (2, 3): (-2, 0)},
+    8: {(0, 2): (-2, 0), (2, 3): (-2, 0), (3, 4): (-2, 0), (4, 5): (-2, 0),
+        (5, 6): (-2, 0), (6, 7): (-2, 0), (1, 3): (-2, 0)},
+}
+COXETER_NUMBER = 30
 
 
-def _simple_system(rs: RaySet) -> list[tuple]:
+def _simple_system(rs: RaySet) -> list[GoldenVector]:
     """Roots realising the polytope's Coxeter diagram, by backtracking.
 
     Works on the full signed root list with exact inner products; any
     realisation serves, since all Coxeter elements are conjugate.
     """
-    if rs.kind == "golden":
-        rank, edges = 4, _H4_GRAM_EDGES
-        norm, zero = GoldenInt(4, 0), golden.ZERO
-        roots = [v for u in rs.vectors for v in (u, vec_neg(u))]
+    rank = rs.dimension
+    edges = _GRAM_EDGES[rank]
+    roots = [v for u in rs.vectors for v in (u, vec_neg(u))]
 
-        def dot(u, v):
-            return golden_dot(u, v)
-    else:
-        rank, edges = 8, _E8_GRAM_EDGES
-        norm, zero = 4, 0
-        roots = [v for u in rs.vectors
-                 for v in (u, tuple(-c for c in u))]
-
-        def dot(u, v):
-            return sum(a * b for a, b in zip(u, v))
-
-    def target(i: int, j: int):
-        key = (min(i, j), max(i, j))
-        return edges.get(key, zero)
-
-    chosen: list = []
+    chosen: list[GoldenVector] = []
 
     def extend() -> bool:
         i = len(chosen)
         if i == rank:
             return True
         for cand in roots:
-            if all(dot(cand, chosen[j]) == target(i, j)
+            if all(golden.dot(cand, chosen[j]) == edges.get((j, i), ZERO)
                    for j in range(i)):
                 chosen.append(cand)
                 if extend():
@@ -349,39 +291,65 @@ def _simple_system(rs: RaySet) -> list[tuple]:
         return False
 
     for first in roots:
-        if dot(first, first) != norm:
+        if golden.dot(first, first) != (4, 0):
             raise RuntimeError("root of unexpected norm in the ray set")
     if not extend():
         raise RuntimeError("no simple system realises the Coxeter diagram")
     return chosen
 
 
-def _coxeter_plane(rs: RaySet) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the rotation eigenplane with angle 2*pi/30."""
-    if rs.kind == "golden":
-        simple = np.array([vec_values(v) for v in _simple_system(rs)])
-    else:
-        simple = np.array(_simple_system(rs), dtype=float)
-    dim = simple.shape[1]
-    w = np.eye(dim)
-    for r in simple:
-        refl = np.eye(dim) - 2.0 * np.outer(r, r) / (r @ r)
-        w = refl @ w
-    eigvals, eigvecs = np.linalg.eig(w)
-    target = complex(math.cos(2 * math.pi / 30), math.sin(2 * math.pi / 30))
-    idx = int(np.argmin(np.abs(eigvals - target)))
-    if abs(eigvals[idx] - target) > 1e-8:
+def _fdot(u: Sequence[float], v: Sequence[float]) -> float:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _coxeter_plane(rs: RaySet) -> tuple[FloatVector, FloatVector]:
+    """Orthonormal basis of the rotation eigenplane with angle 2*pi/30.
+
+    w is the product of the simple reflections (a Coxeter element).  Its
+    eigenvalues e^(+-i theta), theta = 2*pi/h, span one real plane, onto
+    which P = (2/h) sum_k cos(k theta) w^k projects (the isotypic
+    projector, Serre section 2.6).  The column p of P with the largest norm
+    gives the eigenvector u = p - i*(w p - cos(theta) p)/sin(theta), whose
+    phase is fixed so that its first largest component is real and negative.
+    """
+    simple = [vec_values(r) for r in _simple_system(rs)]
+    h, dim = COXETER_NUMBER, len(simple[0])
+    cos, sin = math.cos(2 * math.pi / h), math.sin(2 * math.pi / h)
+
+    def w(v: list[float]) -> list[float]:
+        for r in simple:
+            c = 2.0 * _fdot(v, r) / _fdot(r, r)
+            v = [a - c * b for a, b in zip(v, r)]
+        return v
+
+    def column(j: int) -> list[float]:
+        v, col = [float(i == j) for i in range(dim)], [0.0] * dim
+        for k in range(h):
+            c = 2.0 / h * math.cos(2 * math.pi * k / h)
+            col = [a + c * b for a, b in zip(col, v)]
+            v = w(v)
+        return col
+
+    p = max(map(column, range(dim)), key=lambda col: _fdot(col, col))
+    q = [(a - cos * b) / sin for a, b in zip(w(p), p)]  # u = p - i*q
+    norm = math.sqrt(_fdot(p, p) + _fdot(q, q))
+    # w u = e^(i theta) u holds iff w q = cos(theta) q - sin(theta) p
+    if norm < 1e-8 or max(abs(a - cos * c + sin * b)
+                          for a, b, c in zip(w(q), p, q)) > 1e-8 * norm:
         raise RuntimeError("no eigenvalue at rotation angle 2*pi/30; "
                            "degenerate spectrum")
-    u = eigvecs[:, idx]
-    x, y = np.real(u), np.imag(u)
-    x = x / np.linalg.norm(x)
-    y = y - (y @ x) * x
-    ny = np.linalg.norm(y)
+    u = [complex(a, -b) / norm for a, b in zip(p, q)]
+    sizes = [abs(c) ** 2 for c in u]
+    k = next(i for i, s in enumerate(sizes) if s >= max(sizes) - 1e-9)
+    u = [c * -u[k].conjugate() / abs(u[k]) for c in u]
+    nx = math.sqrt(sum(c.real ** 2 for c in u))
+    x = [c.real / nx for c in u]
+    yx = _fdot([c.imag for c in u], x)
+    y = [c.imag - yx * a for c, a in zip(u, x)]
+    ny = math.sqrt(_fdot(y, y))
     if ny < 1e-12:
         raise RuntimeError("degenerate eigenplane")
-    y = y / ny
-    return x, y
+    return tuple(x), tuple(a / ny for a in y)
 
 
 def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
@@ -392,14 +360,11 @@ def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
     The 120-cell is not a root system, so its rays are projected onto the
     plane of the 600-cell (both share the same symmetry group).
     """
-    if rs.polytope == "120cell":
-        plane_source = icosian_600cell()
-    else:
-        plane_source = rs
-    x, y = _coxeter_plane(plane_source)
+    x, y = _coxeter_plane(icosian_600cell() if rs.polytope == "120cell"
+                          else rs)
     out = []
-    for v in rs.float_vectors():
-        px, py = v @ x, v @ y
+    for v in map(vec_values, rs.vectors):
+        px, py = _fdot(v, x), _fdot(v, y)
         out.append((math.hypot(px, py),
                     math.degrees(math.atan2(py, px)) % 360.0))
     rmax = max(r for r, _ in out)
@@ -480,14 +445,8 @@ def _refine(adj_a: Sequence[int], adj_b: Sequence[int],
         sig_ids: dict[tuple, int] = {}
 
         def signature(adj, colors, i):
-            neigh = []
-            bits = adj[i]
-            while bits:
-                low = bits & -bits
-                neigh.append(colors[low.bit_length() - 1])
-                bits ^= low
-            neigh.sort()
-            return (colors[i], tuple(neigh))
+            return (colors[i],
+                    tuple(sorted(map(colors.__getitem__, _support(adj[i])))))
 
         new_a, new_b = [], []
         for i in range(len(colors_a)):
@@ -498,7 +457,6 @@ def _refine(adj_a: Sequence[int], adj_b: Sequence[int],
             if s not in sig_ids:
                 return False
             new_b.append(sig_ids[s])
-        from collections import Counter
         if Counter(new_a) != Counter(new_b):
             return False
         stable = new_a == colors_a and new_b == colors_b
@@ -522,12 +480,7 @@ def _iso_search(adj_a, adj_b, colors_a, colors_b, budget: list[int]):
         pos_b = {c: i for i, c in enumerate(cb)}
         mapping = [pos_b[c] for c in ca]
         for i in range(len(ca)):
-            bits = adj_a[i]
-            image = 0
-            while bits:
-                low = bits & -bits
-                image |= 1 << mapping[low.bit_length() - 1]
-                bits ^= low
+            image = sum(1 << mapping[j] for j in _support(adj_a[i]))
             if image != adj_b[mapping[i]]:
                 return None
         return mapping
@@ -605,7 +558,7 @@ def rigidity_demo() -> RigidityReport:
         2: gvec(0, ALPHA, 1, BETA),
         3: gvec(0, 1, BETA, ALPHA),
         4: gvec(0, BETA, ALPHA, 1),
-        5: gvec(0, ALPHA, 1, -BETA),
+        5: gvec(0, ALPHA, 1, (-1, 1)),  # -BETA
         6: gvec(ALPHA, BETA, 1, 0),
     }
     expected_phi = {
@@ -629,7 +582,7 @@ def rigidity_demo() -> RigidityReport:
               phi[i] == expected_phi[i], f"{phi[i]}")
 
     def g_orth(i, j):
-        return golden_dot(v[i], v[j]).is_zero()
+        return golden.dot(v[i], v[j]) == ZERO
 
     def e_dot(i, j):
         return sum(a * b for a, b in zip(phi[i], phi[j]))
@@ -640,9 +593,9 @@ def rigidity_demo() -> RigidityReport:
     for i, j in itertools.combinations((1, 2, 5, 6), 2):
         claim(f"phi(v{i}) orthogonal to phi(v{j})", e_dot(i, j) == 0)
     claim("v1 not orthogonal to v6", not g_orth(1, 6),
-          str(golden_dot(v[1], v[6])))
+          golden.to_text(golden.dot(v[1], v[6])))
     claim("v2 not orthogonal to v5", not g_orth(2, 5),
-          str(golden_dot(v[2], v[5])))
+          golden.to_text(golden.dot(v[2], v[5])))
     return RigidityReport(tuple(claims))
 
 
@@ -651,11 +604,13 @@ def rigidity_demo() -> RigidityReport:
 
 
 def rayset_to_json(rs: RaySet) -> dict:
-    if rs.kind == "golden":
-        vecs = [[[c.m, c.n] for c in v] for v in rs.vectors]
-    else:
-        vecs = [list(v) for v in rs.vectors]
-    return {"polytope": rs.polytope, "kind": rs.kind, "rays": vecs}
+    """Golden rays as [m, n] pairs; rays with integer entries only (E8)
+    as plain integer vectors, kind "int"."""
+    if all(n == 0 for v in rs.vectors for _, n in v):
+        return {"polytope": rs.polytope, "kind": "int",
+                "rays": [[m for m, _ in v] for v in rs.vectors]}
+    return {"polytope": rs.polytope, "kind": "golden",
+            "rays": [[list(c) for c in v] for v in rs.vectors]}
 
 
 def projection_to_csv(projection: Sequence[tuple[float, float]]) -> str:
@@ -663,5 +618,7 @@ def projection_to_csv(projection: Sequence[tuple[float, float]]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ray", "radius", "angle_deg"])
     for i, (r, a) in enumerate(projection):
-        writer.writerow([i + 1, f"{r:.6f}", f"{a:.6f}"])
+        # an angle just below 360 prints as 0: rounding noise must not
+        # decide between the two ends of the range
+        writer.writerow([i + 1, f"{r:.6f}", f"{round(a, 6) % 360.0:.6f}"])
     return buf.getvalue()

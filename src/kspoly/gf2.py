@@ -54,13 +54,6 @@ class BitMatrix:
             packed.append(bits)
         return cls(len(packed), width, tuple(packed))
 
-    def column_bits(self, j: int) -> int:
-        out = 0
-        for i, r in enumerate(self.rows):
-            if (r >> j) & 1:
-                out |= 1 << i
-        return out
-
 
 def profile_matrix_mod2(pm: ProfileMatrix) -> BitMatrix:
     return BitMatrix.from_rows(pm.entries)

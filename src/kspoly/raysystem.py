@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 POLYTOPES = ("600cell", "120cell", "gosset")
@@ -50,6 +52,8 @@ class PentadecagonLayout:
     def __post_init__(self) -> None:
         if self.polytope not in POLYTOPES:
             raise ValueError(f"unknown polytope {self.polytope!r}")
+        if not self.pentadecagons:
+            raise ValueError("a layout needs at least one pentadecagon")
         labels = [p.label for p in self.pentadecagons]
         if len(set(labels)) != len(labels):
             raise ValueError("pentadecagon labels are not unique")
@@ -153,16 +157,17 @@ def build_basis_table(layout: PentadecagonLayout,
             origin.append((g.label, s))
     if len(set(bases)) != len(bases):
         raise ValueError("duplicate basis across generator orbits")
-    occ = [0] * (layout.n_rays + 1)
-    for b in bases:
-        for r in b:
-            occ[r] += 1
     # uniform over the rays that occur (partial generator sets leave the
     # other pentadecagons untouched; a full set covers every ray)
-    counts = {c for c in occ[1:] if c}
+    counts = set(ray_occurrences(bases).values())
     if len(counts) != 1:
         raise ValueError(f"non-uniform ray occurrence: {sorted(counts)}")
     return BasisTable(layout, tuple(generators), tuple(bases), tuple(origin))
+
+
+def ray_occurrences(bases: Iterable[Basis]) -> Counter[int]:
+    """How many of the given bases contain each ray."""
+    return Counter(chain.from_iterable(bases))
 
 
 def basis_profile(basis: Iterable[int], layout: PentadecagonLayout) -> str:
@@ -343,13 +348,7 @@ def ray_basis_symbol(bases: Iterable[Basis],
     bases = list(bases)
     if not bases:
         raise ValueError("symbol of an empty basis set is undefined")
-    occ: dict[int, int] = {}
-    for b in bases:
-        for r in b:
-            occ[r] = occ.get(r, 0) + 1
-    by_mult: dict[int, int] = {}
-    for count in occ.values():
-        by_mult[count] = by_mult.get(count, 0) + 1
+    by_mult = Counter(ray_occurrences(bases).values())
     return RayBasisSymbol(tuple(sorted(by_mult.items())), len(bases),
                           layout.dimension)
 

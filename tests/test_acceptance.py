@@ -21,6 +21,7 @@ from kspoly.gf2 import (BitMatrix, dual_weight_distribution,
                         gf2_nullspace, is_minimal_word, macwilliams_transform,
                         minimality_bound, odd_weight_total,
                         profile_matrix_mod2)
+from kspoly import golden
 from kspoly.golden import phi_map
 from kspoly.raysystem import (Word, compose_words, parse_word,
                               ray_basis_symbol, render_word, symbol_from_word,
@@ -252,7 +253,7 @@ def test_criterion_10_geometry_counts(gosset):
     assert saturated(g4, bases4)
     e8 = e8_rays()
     assert len(e8) == 120
-    assert all(sum(c * c for c in v) == 4 for v in e8.vectors)
+    assert all(golden.dot(v, v) == (4, 0) for v in e8.vectors)
     g8 = orthogonality_graph(e8)
     bases8 = enumerate_bases(g8, 8)
     occ8 = {}

@@ -82,6 +82,66 @@ def test_data_override(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 16
 
 
+def _bad_data(tmp_path, edit):
+    from kspoly.datasets import dataset_to_dict, load_polytope
+    doc = dataset_to_dict(*load_polytope("600cell"))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _delete_dimension(doc):
+    del doc["dimension"]
+
+
+def _retype_lo(doc):
+    doc["pentadecagons"][2]["lo"] = "31"
+
+
+def _retype_ray(doc):
+    doc["generators"][1]["rays"][0] = None
+
+
+def _empty_layout(doc):
+    doc["pentadecagons"] = []
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_delete_dimension, "missing field dimension"),
+    (_retype_lo, "field pentadecagons[2].lo: expected integer, got string"),
+    (_retype_ray, "field generators[1].rays[0]: expected integer, got null"),
+    (_empty_layout, "a layout needs at least one pentadecagon"),
+])
+def test_data_malformed_exit2(tmp_path, capsys, edit, message):
+    path = _bad_data(tmp_path, edit)
+    code = main(["gen-bases", "--polytope", "600cell", "--data", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"kspoly: {path}: {message}\n"
+
+
+def test_data_missing_file_exit2(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    code = main(["word", "--polytope", "600cell", "a", "verify",
+                 "--data", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kspoly: cannot read {path}:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{\"polytope\": ", "[1, 2]"])
+def test_data_not_a_dataset_exit2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["geometry", "match", "--polytope", "600cell",
+                 "--data", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kspoly: {path}: ")
+    assert err.count("\n") == 1
+
+
 # --------------------------------------------------------------------------
 # weights
 

@@ -2,18 +2,22 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kspoly.geometry import (MatchError, OrthoGraph, build_120cell_rays,
-                             coxeter_projection, dual_120cell_rays, e8_rays,
-                             enumerate_bases, grid_slots,
-                             icosian_600cell, match_labeling,
+from kspoly import geometry, golden
+from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
+                             build_120cell_rays, coxeter_projection,
+                             dual_120cell_rays, e8_rays, enumerate_bases,
+                             grid_slots, icosian_600cell, match_labeling,
                              orthogonality_graph, pentadecagon_classes,
                              projection_to_csv, rayset_to_json,
                              rigidity_demo, saturated, scale_by_alpha)
-from kspoly.golden import (ALPHA, BETA, GoldenInt, canonical_sign, golden_dot,
-                           gvec, phi_map, vec_scale)
+from kspoly.golden import (ALPHA, BETA, ZERO, canonical_sign, gvec, mul,
+                           phi_map, sign, value, vec_neg, vec_scale)
 
 
 @pytest.fixture(scope="module")
@@ -32,50 +36,87 @@ def cell120_rays():
 
 
 # --------------------------------------------------------------------------
-# golden ring
+# golden ring: elements are (m, n) pairs meaning m + n*a
+
+
+def add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
 
 
 def test_ring_laws():
-    assert ALPHA * ALPHA == GoldenInt(1, 1)          # a^2 = 1 + a
-    assert ALPHA * BETA == GoldenInt(-1, 0)          # a(1-a) = -1
-    assert BETA == 1 - ALPHA
-    g = GoldenInt(3, -2)
-    assert g * GoldenInt(1, 0) == g
-    assert g + GoldenInt(0, 0) == g
-    assert g - g == GoldenInt(0, 0)
-    assert (-g) + g == GoldenInt(0, 0)
+    assert mul(ALPHA, ALPHA) == (1, 1)          # a^2 = 1 + a
+    assert mul(ALPHA, BETA) == (-1, 0)          # a(1-a) = -1
+    assert BETA == (1 - ALPHA[0], -ALPHA[1])    # b = 1 - a
+    g = (3, -2)
+    assert mul(g, (1, 0)) == g
+    assert mul(g, ZERO) == ZERO
+    assert vec_neg((g,)) == (mul((-1, 0), g),)
+    assert add(vec_neg((g,))[0], g) == ZERO
 
 
 def test_ring_commutative_associative():
-    xs = [GoldenInt(m, n) for m in (-2, 0, 3) for n in (-1, 0, 2)]
+    xs = [(m, n) for m in (-2, 0, 3) for n in (-1, 0, 2)]
     for a, b, c in itertools.product(xs, repeat=3):
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_value_and_sign():
-    assert abs(ALPHA.value() - (1 - math.sqrt(5)) / 2) < 1e-15
-    assert ALPHA.sign() == -1
-    assert BETA.sign() == 1
-    assert GoldenInt(0, 0).sign() == 0
+    assert abs(value(ALPHA) - (1 - math.sqrt(5)) / 2) < 1e-15
+    assert sign(ALPHA) == -1
+    assert sign(BETA) == 1
+    assert sign(ZERO) == 0
     for m in range(-5, 6):
         for n in range(-5, 6):
-            g = GoldenInt(m, n)
-            v = g.value()
-            assert g.sign() == (v > 1e-12) - (v < -1e-12)
+            v = value((m, n))
+            assert sign((m, n)) == (v > 1e-12) - (v < -1e-12)
 
 
 def test_zero_iff_both_components_zero():
     for m in range(-3, 4):
         for n in range(-3, 4):
-            assert GoldenInt(m, n).is_zero() == (m == 0 and n == 0)
+            assert (sign((m, n)) == 0) == (m == 0 and n == 0)
 
 
 def test_canonical_sign():
     v = gvec(0, ALPHA, 1, BETA)
-    assert canonical_sign(v)[1] == -ALPHA  # first nonzero made positive
+    assert canonical_sign(v)[1] == (0, -1)  # first nonzero made positive
     assert canonical_sign(canonical_sign(v)) == canonical_sign(v)
+
+
+def _near_zero(n: int) -> st.SearchStrategy:
+    """Pairs (m, n) with m next to -n*a, where m + n*a is smallest."""
+    m0 = (math.isqrt(5 * n * n) - abs(n)) // 2
+    return st.integers(-2, 2).map(lambda d: ((m0 if n >= 0 else -m0) + d, n))
+
+
+BIG = 10 ** 12
+golden_pairs = st.one_of(
+    st.tuples(st.integers(-BIG, BIG), st.integers(-BIG, BIG)),
+    st.integers(-BIG, BIG).flatmap(_near_zero))
+
+
+@settings(max_examples=300)
+@given(golden_pairs)
+def test_sign_matches_decimal(x):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = Decimal(x[0]) + Decimal(x[1]) * (1 - Decimal(5).sqrt()) / 2
+    assert sign(x) == (exact > 0) - (exact < 0)
+
+
+small_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+    st.lists(small_pairs, min_size=d, max_size=d),
+    st.lists(small_pairs, min_size=d, max_size=d))))
+def test_dot_matches_float(uv):
+    u, v = (tuple(w) for w in uv)
+    approx = sum(value(a) * value(b) for a, b in zip(u, v))
+    assert math.isclose(value(golden.dot(u, v)), approx,
+                        rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_phi_map_examples():
@@ -97,8 +138,8 @@ def test_phi_injective_on_rays(h4):
 def test_600cell_counts(h4):
     assert len(h4) == 60
     assert h4.contains_up_to_sign(gvec(2, 0, 0, 0))
-    norms = {golden_dot(v, v) for v in h4.vectors}
-    assert norms == {GoldenInt(4, 0)}
+    norms = {golden.dot(v, v) for v in h4.vectors}
+    assert norms == {(4, 0)}
 
 
 def test_600cell_graph(h4):
@@ -124,10 +165,10 @@ def test_scale_by_alpha(h4):
     assert len(h4b) == 60
     assert h4b.contains_up_to_sign(vec_scale(ALPHA, gvec(2, 0, 0, 0)))
     assert h4b.contains_up_to_sign(gvec(ALPHA, ALPHA, ALPHA, ALPHA))
-    assert h4b.contains_up_to_sign(gvec(0, GoldenInt(1, 1), ALPHA, 1))
+    assert h4b.contains_up_to_sign(gvec(0, (1, 1), ALPHA, 1))
     # scaling twice scales by a^2 = 1 + a
     twice = scale_by_alpha(h4b)
-    expected = {canonical_sign(vec_scale(GoldenInt(1, 1), v))
+    expected = {canonical_sign(vec_scale((1, 1), v))
                 for v in h4.vectors}
     assert set(twice.vectors) == expected
 
@@ -145,9 +186,11 @@ def test_scaling_preserves_orthogonality(h4):
 def test_e8_counts(e8):
     assert len(e8) == 120
     for v in e8.vectors:
-        assert sum(c * c for c in v) == 4
-    assert e8.contains_up_to_sign((2, 0, 0, 0, 0, 0, 0, 0))
-    assert e8.contains_up_to_sign((0, 0, 1, 1, 0, 1, 0, -1))
+        assert golden.dot(v, v) == (4, 0)
+        assert all(n == 0 for _, n in v)  # integer entries
+    assert e8.contains_up_to_sign(gvec(2, 0, 0, 0, 0, 0, 0, 0))
+    assert e8.contains_up_to_sign(gvec(0, 0, 1, 1, 0, 1, 0, -1))
+    assert e8.contains_up_to_sign(gvec(0, 0, -1, -1, 0, -1, 0, 1))
 
 
 def test_e8_inner_products(e8):
@@ -155,8 +198,7 @@ def test_e8_inner_products(e8):
     for i in range(len(e8)):
         for j in range(i, len(e8)):
             prods.add(e8.dot(i, j))
-    assert prods == {-2, 0, 2, 4}
-    assert prods <= {-4, -2, -1, 0, 1, 2, 4}
+    assert prods == {(-2, 0), (0, 0), (2, 0), (4, 0)}
 
 
 def test_e8_graph_regular(e8):
@@ -200,7 +242,7 @@ def test_forward_orthogonality_preserved(h4):
 
 def test_120cell_counts(cell120_rays):
     assert len(cell120_rays) == 300
-    norms = {golden_dot(v, v) for v in cell120_rays.vectors}
+    norms = {golden.dot(v, v) for v in cell120_rays.vectors}
     assert len(norms) == 1
 
 
@@ -231,8 +273,7 @@ def test_cliques_edgeless_graph():
 
 
 def test_single_ray_graph(h4):
-    from kspoly.geometry import RaySet
-    one = RaySet("600cell", "golden", h4.vectors[:1])
+    one = RaySet("600cell", h4.vectors[:1])
     assert orthogonality_graph(one).n_edges == 0
 
 
@@ -315,6 +356,19 @@ def test_projection_csv(h4):
     lines = text.strip().split("\n")
     assert lines[0] == "ray,radius,angle_deg"
     assert len(lines) == 61
+    # an angle that rounds to 360 degrees prints as 0
+    assert projection_to_csv([(1.0, 360.0 - 1e-13)]).endswith(
+        "1,1.000000,0.000000\n")
+
+
+def test_coxeter_plane_requires_rotation_eigenvalue(h4, monkeypatch):
+    """Four mutually orthogonal roots give w = -1, which has no eigenvalue
+    at angle 2*pi/30."""
+    monkeypatch.setattr(geometry, "_simple_system",
+                        lambda rs: [gvec(*(2 * (i == j) for j in range(4)))
+                                    for i in range(4)])
+    with pytest.raises(RuntimeError, match="no eigenvalue"):
+        coxeter_projection(h4)
 
 
 # --------------------------------------------------------------------------
