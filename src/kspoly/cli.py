@@ -48,13 +48,23 @@ def _report(doc: dict, text_lines: list[str], args) -> None:
     _emit(text, args.out)
 
 
+def _load_table(args):
+    """The dataset and its basis table.  A --data file whose orbits break a
+    table invariant (duplicate bases, non-uniform ray occurrence) is a bad
+    dataset like any other."""
+    layout, gens = load_polytope(args.polytope, args.data)
+    try:
+        return layout, gens, raysystem.build_basis_table(layout, gens)
+    except ValueError as exc:
+        raise DatasetError(f"{args.data or args.polytope}: {exc}") from exc
+
+
 # --------------------------------------------------------------------------
 # gen-bases
 
 
 def cmd_gen_bases(args) -> int:
-    layout, gens = load_polytope(args.polytope, args.data)
-    table = raysystem.build_basis_table(layout, gens)
+    layout, gens, table = _load_table(args)
     if args.format == "json":
         text = json.dumps(raysystem.table_to_json(table), indent=1) + "\n"
     elif args.format == "csv":
@@ -126,7 +136,7 @@ def _symbol_json(sym: raysystem.RayBasisSymbol) -> dict:
 
 
 def cmd_word(args) -> int:
-    layout, gens = load_polytope(args.polytope, args.data)
+    layout, gens, table = _load_table(args)
     try:
         word = raysystem.parse_word(args.word, layout.polytope)
         labels = {g.label for g in gens}
@@ -136,7 +146,6 @@ def cmd_word(args) -> int:
                              f"{layout.polytope} generator set")
     except ValueError as exc:
         raise CliError(f"bad word: {exc}", EXIT_USAGE)
-    table = raysystem.build_basis_table(layout, gens)
     doc: dict = {"polytope": layout.polytope,
                  "word": raysystem.render_word(word),
                  "action": args.action}
@@ -264,8 +273,7 @@ def cmd_geometry(args) -> int:
         text_lines = [f"{r:.4f}  {len(m)} rays" for r, _, m in classes]
         failure = "projection classes malformed"
     elif args.check == "match":
-        layout, gens = load_polytope(args.polytope, args.data)
-        table = raysystem.build_basis_table(layout, gens)
+        _, _, table = _load_table(args)
         graph = geometry.orthogonality_graph(rs)
         computed = geometry.enumerate_bases(graph, rs.dimension)
         try:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .gf2 import (BitMatrix, EnumerationLimitError, _support,
-                  gf2_nullspace)
-from .raysystem import (Basis, BasisTable, Word, parse_word, ray_occurrences,
-                        render_word, word_to_bases)
+                  gf2_nullspace, span)
+from .raysystem import (Basis, BasisTable, Word, parse_word, ray_index,
+                        ray_occurrences, render_word, word_to_bases)
 
 NODE_BUDGET_ENV = "KSPOLY_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -103,9 +103,7 @@ def find_ks_assignment(bases: Sequence[Basis],
     # rays are bit positions; a state is (one, zero, free): the rays set to
     # 1, the rays set to 0, and per basis its free-ray count, or `done`
     # once the basis holds its 1
-    rays = sorted({r for b in bases for r in b})
-    pos = {r: i for i, r in enumerate(rays)}
-    cols = [tuple(pos[r] for r in b) for b in bases]
+    rays, cols = ray_index(bases)
     masks = [sum(1 << p for p in set(b)) for b in cols]
     of_ray: list[list[int]] = [[] for _ in rays]
     for bi, b in enumerate(cols):
@@ -205,12 +203,11 @@ def incidence_nullspace_proofs(p: Proof, cap: int = 10_000,
     index set; capped at `cap` sub-proofs with a truncation flag.
     """
     order = sorted(p.basis_indices)
-    rays = sorted({r for i in order for r in p.table.bases[i]})
-    ray_pos = {r: i for i, r in enumerate(rays)}
+    rays, cols = ray_index(p.table.bases[i] for i in order)
     rows = [0] * len(rays)
-    for col, bi in enumerate(order):
-        for r in p.table.bases[bi]:
-            rows[ray_pos[r]] |= 1 << col
+    for col, b in enumerate(cols):
+        for r in b:
+            rows[r] |= 1 << col
     spec = gf2_nullspace(BitMatrix(len(rows), len(order), tuple(rows)))
     if spec.k > nullity_limit:
         raise EnumerationLimitError(
@@ -218,9 +215,7 @@ def incidence_nullspace_proofs(p: Proof, cap: int = 10_000,
             f"{nullity_limit}")
     subs: list[frozenset[int]] = []
     truncated = False
-    v = 0
-    for i in range(1, 1 << spec.k):
-        v ^= spec.nullspace_basis[(i & -i).bit_length() - 1]
+    for v in span(spec.nullspace_basis):
         if v.bit_count() % 2 == 0:
             continue
         members = frozenset(order[j] for j in _support(v))

@@ -4,11 +4,12 @@ The 600-cell is built exactly over the golden ring from three orbit seeds
 under the 192-element group of even coordinate permutations and arbitrary
 sign changes; doubling it by the a-scaling and applying the coordinate map
 (m + n*a) -> (m, n) yields the 240 roots of E8 (Gosset's polytope).  The
-120-cell comes from its classical vertex coordinates (data file).  Bases
-are recovered with no reference to the numbered tables, as d-cliques of the
-exact orthogonality graph, so the combinatorial tables can be validated by
-hypergraph isomorphism.  Only the triacontagonal (Coxeter-plane) projection
-uses floating point; every orthogonality decision is exact.
+120-cell is derived as the 600-cell's cell centers, with no coordinate
+file.  Bases are recovered with no reference to the numbered tables, as
+d-cliques of the exact orthogonality graph, so the combinatorial tables can
+be validated by hypergraph isomorphism.  Only the triacontagonal
+(Coxeter-plane) projection uses floating point; every orthogonality
+decision is exact.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import golden
-from .datasets import data_text
 from .gf2 import _support
 from .golden import (ALPHA, BETA, ZERO, Golden, GoldenVector, canonical_sign,
                      gvec, phi_map, vec_neg, vec_scale, vec_values)
-from .raysystem import Basis, BasisTable
+from .raysystem import Basis, BasisTable, ray_index
 
 FloatVector = tuple[float, ...]
 
@@ -128,38 +127,16 @@ def e8_rays() -> RaySet:
 
 
 def build_120cell_rays() -> RaySet:
-    """The 300 rays of the 120-cell from the golden-coordinate data file.
-
-    The file holds one exact representative per antipodal vertex pair,
-    oriented in the icosian frame (see dual_120cell_rays, which re-derives
-    the same set as the cell centers of the 600-cell).
-    """
-    doc = json.loads(data_text("120cell_rays.json"))
-    rays = tuple(tuple((m, n) for m, n in v) for v in doc["rays"])
-    if len(set(rays)) != 300:
-        raise RuntimeError(f"expected 300 distinct rays, got {len(rays)}")
-    norms = {golden.dot(v, v) for v in rays}
-    if len(norms) != 1:
-        raise RuntimeError(f"rays not on one sphere: norms {norms}")
-    for v in rays:
-        if canonical_sign(v) != v:
-            raise RuntimeError(f"ray {v} is not sign-canonical")
-    return RaySet("120cell", rays)
-
-
-def dual_120cell_rays() -> RaySet:
-    """Re-derive the 120-cell rays as cell centers of the 600-cell.
+    """The 300 rays of the 120-cell, derived as cell centers of the 600-cell.
 
     The 600 tetrahedral cells are the 4-cliques of the nearest-neighbour
-    graph (vertex inner product 2*phi = 2 - 2a at radius 2); each center is the
-    exact golden sum of its four vertices.  Independent of the data file.
+    graph (vertex inner product 2*phi = 2 - 2a at radius 2); each center is
+    the exact golden sum of its four vertices, which leaves the rays in the
+    icosian frame of the 600-cell.
     """
     h4 = icosian_600cell()
     verts = [v for u in h4.vectors for v in (u, vec_neg(u))]
-    near = OrthoGraph(len(verts), tuple(
-        sum(1 << j for j, u in enumerate(verts) if golden.dot(v, u) == (2, -2))
-        for v in verts))
-    cells = enumerate_bases(near, 4)
+    cells = enumerate_bases(_graph(verts, (2, -2)), 4)
     if len(cells) != 600:
         raise RuntimeError(f"expected 600 cells, found {len(cells)}")
     centers = {canonical_sign(tuple(
@@ -191,27 +168,32 @@ class OrthoGraph:
         return self.adjacency[i].bit_count()
 
 
-def orthogonality_graph(rs: RaySet) -> OrthoGraph:
-    vecs, adj = rs.vectors, [0] * len(rs)
-    for i, u in enumerate(vecs):
-        for j in range(i + 1, len(vecs)):
-            if golden.dot(u, vecs[j]) == ZERO:
+def _graph(vectors: Sequence[GoldenVector], value: Golden) -> OrthoGraph:
+    """The graph joining two vectors when their inner product is `value`."""
+    adj = [0] * len(vectors)
+    for i, u in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            if golden.dot(u, vectors[j]) == value:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return OrthoGraph(len(rs), tuple(adj))
+    return OrthoGraph(len(vectors), tuple(adj))
 
 
-def graph_from_bases(bases: Iterable[Basis]) -> OrthoGraph:
-    """Co-occurrence graph of a basis list (vertices = ray ids that occur)."""
-    bases = list(bases)
-    ids = sorted({r for b in bases for r in b})
-    pos = {r: i for i, r in enumerate(ids)}
-    adj = [0] * len(ids)
-    for b in bases:
+def orthogonality_graph(rs: RaySet) -> OrthoGraph:
+    return _graph(rs.vectors, ZERO)
+
+
+def graph_from_bases(bases: Iterable[Basis]
+                     ) -> tuple[tuple[int, ...], OrthoGraph]:
+    """Co-occurrence graph of a basis list, and the ray id of each vertex
+    (the rays that occur, sorted)."""
+    rays, cols = ray_index(bases)
+    adj = [0] * len(rays)
+    for b in cols:
         for x, y in itertools.combinations(b, 2):
-            adj[pos[x]] |= 1 << pos[y]
-            adj[pos[y]] |= 1 << pos[x]
-    return OrthoGraph(len(ids), tuple(adj))
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+    return rays, OrthoGraph(len(rays), tuple(adj))
 
 
 def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
@@ -511,12 +493,10 @@ def match_labeling(computed: Sequence[Basis], reference: BasisTable,
     if len(computed) != len(ref_bases):
         raise MatchError(f"basis counts differ: {len(computed)} vs "
                          f"{len(ref_bases)}")
-    ga = graph_from_bases(computed)
-    gb = graph_from_bases(ref_bases)
+    ids_a, ga = graph_from_bases(computed)
+    ids_b, gb = graph_from_bases(ref_bases)
     if ga.n != gb.n:
         raise MatchError(f"ray counts differ: {ga.n} vs {gb.n}")
-    ids_a = sorted({r for b in computed for r in b})
-    ids_b = sorted({r for b in ref_bases for r in b})
     mapping = _iso_search(ga.adjacency, gb.adjacency,
                           [0] * ga.n, [0] * gb.n, [budget])
     if mapping is None:

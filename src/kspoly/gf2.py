@@ -7,10 +7,11 @@ the 135-column code), and no floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .raysystem import ProfileMatrix, Word, parse_letter
 
@@ -170,20 +171,24 @@ def odd_weight_total(dist: WeightDistribution) -> int:
     return sum(c for w, c in dist.counts.items() if w % 2)
 
 
+def span(basis: Sequence[int]) -> Iterator[int]:
+    """Every subset sum of the basis, 0 first, in Gray-code order: each
+    step flips one basis vector.  For an independent basis this is every
+    vector of the span, once."""
+    v = 0
+    yield v
+    for i in range(1, 1 << len(basis)):
+        v ^= basis[(i & -i).bit_length() - 1]
+        yield v
+
+
 def _span_weights(basis: list[int], extra_budget: int = 1 << 27) -> dict[int, int]:
-    """Weights of all 2^len(basis) subset sums, via Gray-code stepping."""
+    """Weights of all 2^len(basis) subset sums."""
     k = len(basis)
     if 1 << k > extra_budget:
         raise EnumerationLimitError(f"2^{k} codewords is beyond the "
                                     "enumeration budget")
-    counts: dict[int, int] = {}
-    v = 0
-    counts[0] = 1
-    for i in range(1, 1 << k):
-        v ^= basis[(i & -i).bit_length() - 1]
-        w = v.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+    return Counter(map(int.bit_count, span(basis)))
 
 
 def dual_weight_distribution(m: BitMatrix,
@@ -338,19 +343,9 @@ def is_minimal_word(w: Word, pm: ProfileMatrix,
     cols = [pm.col_labels.index(tok) for tok in letters]
     restricted = BitMatrix.from_rows(
         [[row[j] for j in cols] for row in pm.entries])
-    # force full width even if trailing columns are all zero
-    restricted = BitMatrix(restricted.n_rows, len(cols), restricted.rows)
     all_ones = (1 << len(cols)) - 1
     if not in_nullspace(restricted, all_ones):
         raise ValueError(f"word {w} is not a nullspace element")
     sub = gf2_nullspace(restricted)
-    odd = 0
-    v = 0
-    for i in range(1, 1 << sub.k):
-        v ^= sub.nullspace_basis[(i & -i).bit_length() - 1]
-        if v.bit_count() % 2:
-            odd += 1
-            if v != all_ones:
-                return False
-    assert odd >= 1  # the word itself
-    return True
+    return all(v == all_ones for v in span(sub.nullspace_basis)
+               if v.bit_count() % 2)

@@ -170,6 +170,16 @@ def ray_occurrences(bases: Iterable[Basis]) -> Counter[int]:
     return Counter(chain.from_iterable(bases))
 
 
+def ray_index(bases: Iterable[Basis]
+              ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The rays that occur, sorted, and each basis as the positions of its
+    rays in that order."""
+    bases = list(bases)
+    rays = tuple(sorted(set(chain.from_iterable(bases))))
+    pos = {r: i for i, r in enumerate(rays)}
+    return rays, [tuple(pos[r] for r in b) for b in bases]
+
+
 def basis_profile(basis: Iterable[int], layout: PentadecagonLayout) -> str:
     """Pentadecagon label of each ray, concatenated in layout order."""
     labels = sorted(((r - 1) // ORBIT, layout.pentadecagon_of(r).label)

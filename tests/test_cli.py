@@ -120,6 +120,24 @@ def test_data_malformed_exit2(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"kspoly: {path}: {message}\n"
 
 
+def _crowd_b(doc):
+    doc["generators"][1]["rays"] = [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-bases"],
+    ["word", "a", "verify"],
+    ["geometry", "match"],
+])
+def test_data_table_invariant_exit2(tmp_path, capsys, argv):
+    """A dataset whose orbits break a basis-table invariant is bad data."""
+    path = _bad_data(tmp_path, _crowd_b)
+    code = main(argv + ["--polytope", "600cell", "--data", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"kspoly: {path}: non-uniform ray occurrence: [3, 5, 9]\n")
+
+
 def test_data_missing_file_exit2(tmp_path, capsys):
     path = tmp_path / "absent.json"
     code = main(["word", "--polytope", "600cell", "a", "verify",

@@ -292,6 +292,21 @@ def test_classify_trivial_self(cell600):
     assert classify_decomposition(p, [p]) == "direct_sum"
 
 
+def test_subproofs_against_brute_force(cell600):
+    """The nullspace walk finds exactly the subsets of word a's 15 bases
+    that are parity proofs, each once."""
+    p = word_proof(cell600, "a")
+    order = sorted(p.basis_indices)
+    expect = set()
+    for mask in range(1, 1 << len(order)):
+        subset = [bi for j, bi in enumerate(order) if mask >> j & 1]
+        if certificate_for_bases([p.table.bases[bi] for bi in subset]).valid:
+            expect.add(frozenset(subset))
+    got = [s.basis_indices for s in incidence_nullspace_proofs(p).proofs]
+    assert len(got) == len(set(got))
+    assert set(got) == expect
+
+
 def test_decomposition_cap(cell120):
     p = word_proof(cell120, "abkrf'")
     dec = incidence_nullspace_proofs(p, cap=3)

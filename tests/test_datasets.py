@@ -19,8 +19,6 @@ CHECKSUMS = {
         "82bad19576910b377666cc9ccc390e05fa83c39a0c446c64e5f3f6fdeef1a972",
     "gosset.json":
         "36278879ae986ce754a10402d45234003c9b46dadb7e157ed5495d2dd4f5235a",
-    "120cell_rays.json":
-        "c56a99037b8c75c35b345ac7dba7092f015326fa2ae03c4f85952140f6acd04d",
 }
 
 

@@ -6,21 +6,27 @@ import random
 import pytest
 
 from kspoly.gf2 import (BitMatrix, EnumerationLimitError, WeightDistribution,
-                        WeightTransformError, dual_weight_distribution,
+                        WeightTransformError, _eliminate,
+                        dual_weight_distribution,
                         enumerate_code_weights, enumerate_low_weight,
                         enumerate_words, gf2_nullspace, gf2_rank, in_nullspace,
                         is_minimal_word, krawtchouk, macwilliams_transform,
                         minimality_bound, odd_weight_total,
-                        profile_matrix_mod2)
+                        profile_matrix_mod2, span)
 from kspoly.raysystem import parse_word, render_word
+
+
+def closure(rows):
+    """The row space, by closing {0} under adding each row."""
+    out = {0}
+    for r in rows:
+        out |= {r ^ s for s in out}
+    return out
 
 
 def brute_rank(rows, n_cols):
     """Rank via row-space closure: the span size is 2^rank."""
-    span = {0}
-    for r in rows:
-        span |= {r ^ s for s in span}
-    size = len(span)
+    size = len(closure(rows))
     assert size & (size - 1) == 0
     return size.bit_length() - 1
 
@@ -45,6 +51,10 @@ def test_rank_against_closure_oracle():
     for _ in range(100):
         m = random_matrix(rng, max_rows=10, max_cols=14)
         assert gf2_rank(m) == brute_rank(m.rows, m.n_cols)
+        _, reduced = _eliminate(list(m.rows), m.n_cols)
+        walk = list(span(reduced))
+        assert len(walk) == len(set(walk))
+        assert set(walk) == closure(m.rows)
 
 
 def test_nullspace_dimensions(polytopes):
@@ -69,8 +79,12 @@ def test_600cell_nullspace_brute_force(cell600):
 
 def test_nullspace_random_matrices():
     rng = random.Random(2)
-    for _ in range(60):
-        m = random_matrix(rng, max_rows=6, max_cols=12)
+    # from_rows takes the width from every entry, so a last column that is
+    # all zero mod 2 still counts
+    even_last = BitMatrix.from_rows([[1, 2], [1, 0]])
+    assert even_last.n_cols == 2
+    for m in [even_last] + [random_matrix(rng, max_rows=6, max_cols=12)
+                            for _ in range(60)]:
         spec = gf2_nullspace(m)
         assert len(brute_nullspace_vectors(m)) == 1 << spec.k
         for v in spec.nullspace_basis:
