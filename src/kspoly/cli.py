@@ -1,11 +1,14 @@
 """Command-line surface: basis tables, proof counting, word reports, and
-geometry checks, with deterministic text/json/csv output.
+geometry checks, with deterministic text/json output, and csv where it is
+rendered (gen-bases, weights, geometry project).
 
-Exit codes: 0 success; 2 bad arguments, word parse error, a non-integer
+Exit codes: 0 success; 2 bad arguments (csv asked of a command that does
+not render it included), word parse error, a non-integer
 KSPOLY_NODE_BUDGET, or a --data file that is missing, unreadable or not a
 valid dataset; 3 internal counting inconsistency; 4 word is not an odd
 nullspace element where one is required; 5 failed geometric claim; 6 a
-search or enumeration ran past its limit (node budget, enumeration size).
+search or enumeration ran past its limit (assignment node budget, match
+search budget, enumeration size).
 """
 
 from __future__ import annotations
@@ -269,7 +272,10 @@ def cmd_geometry(args) -> int:
         classes = geometry.pentadecagon_classes(proj)
         doc["pentadecagons"] = [
             {"radius": round(r, 6), "rays": len(m)} for r, _, m in classes]
-        doc["ok"] = ok = all(len(m) == 15 for _, _, m in classes)
+        # each class fills the 15 even slots of the 12-degree grid: 15 rays
+        # 24 degrees apart
+        doc["ok"] = ok = all(sorted(geometry.grid_slots(proj, m))
+                             == list(range(0, 30, 2)) for _, _, m in classes)
         text_lines = [f"{r:.4f}  {len(m)} rays" for r, _, m in classes]
         failure = "projection classes malformed"
     elif args.check == "match":
@@ -304,11 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "120-cell, and Gosset polytope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, polytope_required=True):
+    def add_common(p, polytope_required=True, formats=("text", "json", "csv")):
         p.add_argument("--polytope", choices=POLYTOPES,
                        required=polytope_required)
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--data", metavar="PATH", default=None,
                        help="override the embedded dataset with a JSON file")
         p.add_argument("--out", metavar="PATH", default=None,
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("word", help="expand, verify, or analyse a word")
-    add_common(p)
+    add_common(p, formats=("text", "json"))
     p.add_argument("word", help="generator letters, e.g. \"a b e g k r i'\"")
     p.add_argument("action",
                    choices=("expand", "symbol", "verify", "minimal",
@@ -351,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "geometry" and args.check != "rigidity" \
             and not args.polytope:
         parser.error(f"geometry {args.check} requires --polytope")
+    if args.command == "geometry" and args.check != "project" \
+            and args.format == "csv":
+        parser.error(f"geometry {args.check} has no csv output")
     try:
         return args.func(args)
     except CliError as exc:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping, Sequence
 
-from .gf2 import (BitMatrix, EnumerationLimitError, _support,
-                  gf2_nullspace, span)
+from .gf2 import BitMatrix, _support, gf2_nullspace, span
 from .raysystem import (Basis, BasisTable, Word, parse_word, ray_index,
                         ray_occurrences, render_word, word_to_bases)
 
 NODE_BUDGET_ENV = "KSPOLY_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
+SUBPROOF_CAP = 10_000  # the most sub-proofs a decomposition returns
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -193,14 +194,14 @@ class Decomposition:
     nullity: int
 
 
-def incidence_nullspace_proofs(p: Proof, cap: int = 10_000,
-                               nullity_limit: int = 25) -> Decomposition:
+def incidence_nullspace_proofs(p: Proof) -> Decomposition:
     """Every embedded parity proof among subsets of p's bases.
 
     Builds the ray-by-basis incidence matrix restricted to p's bases and
     returns each odd-weight nullspace vector as a sub-proof (p itself
     included when p is a parity proof).  Sorted by basis count, then by
-    index set; capped at `cap` sub-proofs with a truncation flag.
+    index set; the first SUBPROOF_CAP found are kept, with a truncation
+    flag when there are more.
     """
     order = sorted(p.basis_indices)
     rays, cols = ray_index(p.table.bases[i] for i in order)
@@ -209,21 +210,11 @@ def incidence_nullspace_proofs(p: Proof, cap: int = 10_000,
         for r in b:
             rows[r] |= 1 << col
     spec = gf2_nullspace(BitMatrix(len(rows), len(order), tuple(rows)))
-    if spec.k > nullity_limit:
-        raise EnumerationLimitError(
-            f"incidence nullity {spec.k} exceeds the enumeration limit "
-            f"{nullity_limit}")
-    subs: list[frozenset[int]] = []
-    truncated = False
-    for v in span(spec.nullspace_basis):
-        if v.bit_count() % 2 == 0:
-            continue
-        members = frozenset(order[j] for j in _support(v))
-        subs.append(members)
-        if len(subs) > cap:
-            truncated = True
-            subs.pop()
-            break
+    odd = (v for v in span(spec.nullspace_basis) if v.bit_count() % 2)
+    subs = [frozenset(order[j] for j in _support(v))
+            for v in islice(odd, SUBPROOF_CAP + 1)]
+    truncated = len(subs) > SUBPROOF_CAP
+    del subs[SUBPROOF_CAP:]
     subs.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return Decomposition(tuple(Proof(p.table, s) for s in subs),
                          truncated, spec.k)

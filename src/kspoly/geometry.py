@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import golden
-from .gf2 import _support
+from .gf2 import EnumerationLimitError, _support
 from .golden import (ALPHA, BETA, ZERO, Golden, GoldenVector, canonical_sign,
                      gvec, phi_map, vec_neg, vec_scale, vec_values)
 from .raysystem import Basis, BasisTable, ray_index
@@ -245,6 +245,7 @@ _GRAM_EDGES = {
         (5, 6): (-2, 0), (6, 7): (-2, 0), (1, 3): (-2, 0)},
 }
 COXETER_NUMBER = 30
+CLASS_TOL = 1e-6  # radius and angle tolerance of one projected 15-gon
 
 
 def _simple_system(rs: RaySet) -> list[GoldenVector]:
@@ -353,38 +354,33 @@ def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
     return [(r / rmax, a) for r, a in out]
 
 
-def radius_classes(projection: Sequence[tuple[float, float]],
-                   tol: float = 1e-6) -> list[tuple[float, list[int]]]:
-    """Group ray indices by projection radius (within tol), outermost first."""
-    classes: list[tuple[float, list[int]]] = []
-    for i, (r, _) in enumerate(projection):
-        for rc, members in classes:
-            if abs(rc - r) <= tol:
-                members.append(i)
-                break
-        else:
-            classes.append((r, [i]))
-    return sorted(classes, key=lambda c: -c[0])
-
-
-def pentadecagon_classes(projection: Sequence[tuple[float, float]],
-                         tol: float = 1e-6
+def pentadecagon_classes(projection: Sequence[tuple[float, float]]
                          ) -> list[tuple[float, float, list[int]]]:
-    """(radius, angle residue mod 12 deg, members) per projected 15-gon.
+    """(radius, angle residue mod 12 deg, members) per projected 15-gon,
+    outermost first.
 
     Rays of one pentadecagon share a radius and an angle residue modulo 12
     degrees (the residue is representative-independent: antipodes differ by
     180 = 15 * 12 degrees).  Two pentadecagons may share a radius but then
-    differ in residue, so grouping by both separates them.
+    differ in residue, so grouping by both separates them.  Both agree
+    within CLASS_TOL.
     """
+    rings: list[tuple[float, list[int]]] = []
+    for i, (r, _) in enumerate(projection):
+        for rc, members in rings:
+            if abs(rc - r) <= CLASS_TOL:
+                members.append(i)
+                break
+        else:
+            rings.append((r, [i]))
     out: list[tuple[float, float, list[int]]] = []
-    for radius, members in radius_classes(projection, tol):
+    for radius, members in sorted(rings, key=lambda c: -c[0]):
         groups: list[tuple[float, list[int]]] = []
         for i in members:
             res = projection[i][1] % 12.0
             for gres, g in groups:
                 delta = abs(res - gres)
-                if min(delta, 12.0 - delta) <= tol:
+                if min(delta, 12.0 - delta) <= CLASS_TOL:
                     g.append(i)
                     break
             else:
@@ -419,6 +415,9 @@ class MatchError(RuntimeError):
     """No ray bijection maps the computed bases onto the reference table."""
 
 
+MATCH_BUDGET = 200_000  # the most _iso_search calls in one match
+
+
 def _refine(adj_a: Sequence[int], adj_b: Sequence[int],
             colors_a: list[int], colors_b: list[int]) -> bool:
     """Joint Weisfeiler-Lehman color refinement; False when the color
@@ -447,10 +446,14 @@ def _refine(adj_a: Sequence[int], adj_b: Sequence[int],
             return True
 
 
-def _iso_search(adj_a, adj_b, colors_a, colors_b, budget: list[int]):
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise MatchError("isomorphism search budget exceeded")
+def _iso_search(adj_a, adj_b, colors_a, colors_b, nodes: list[int]):
+    """Refine, then individualize one vertex of the smallest non-singleton
+    class against each candidate; nodes[0] counts the calls, up to
+    MATCH_BUDGET."""
+    nodes[0] += 1
+    if nodes[0] > MATCH_BUDGET:
+        raise EnumerationLimitError(
+            f"isomorphism search exceeded {MATCH_BUDGET} nodes")
     ca, cb = list(colors_a), list(colors_b)
     if not _refine(adj_a, adj_b, ca, cb):
         return None
@@ -475,19 +478,20 @@ def _iso_search(adj_a, adj_b, colors_a, colors_b, budget: list[int]):
         ca2, cb2 = list(ca), list(cb)
         ca2[v] = next_color
         cb2[u] = next_color
-        found = _iso_search(adj_a, adj_b, ca2, cb2, budget)
+        found = _iso_search(adj_a, adj_b, ca2, cb2, nodes)
         if found is not None:
             return found
     return None
 
 
-def match_labeling(computed: Sequence[Basis], reference: BasisTable,
-                   budget: int = 200_000) -> dict[int, int]:
+def match_labeling(computed: Sequence[Basis],
+                   reference: BasisTable) -> dict[int, int]:
     """A ray bijection carrying the computed basis hypergraph onto the
     reference table, found by color refinement plus individualization.
 
     Returns {computed ray id -> reference ray id}; raises MatchError when
-    counts differ or no bijection exists within the search budget.
+    counts differ or no bijection exists, and EnumerationLimitError when
+    the search runs past MATCH_BUDGET nodes.
     """
     ref_bases = list(reference.bases)
     if len(computed) != len(ref_bases):
@@ -498,7 +502,7 @@ def match_labeling(computed: Sequence[Basis], reference: BasisTable,
     if ga.n != gb.n:
         raise MatchError(f"ray counts differ: {ga.n} vs {gb.n}")
     mapping = _iso_search(ga.adjacency, gb.adjacency,
-                          [0] * ga.n, [0] * gb.n, [budget])
+                          [0] * ga.n, [0] * gb.n, [0])
     if mapping is None:
         raise MatchError("no ray bijection maps the computed bases onto "
                          "the reference table")

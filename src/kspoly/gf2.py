@@ -19,7 +19,13 @@ Parity = Literal["odd", "even", "any"]
 
 
 class EnumerationLimitError(RuntimeError):
-    """An exact enumeration would exceed the configured work budget."""
+    """An exact enumeration would exceed its work limit."""
+
+
+# the most basis vectors span() walks, so at most 2^25 vectors
+SPAN_LIMIT = 25
+# the most candidate combinations enumerate_low_weight inspects
+ENUMERATION_BUDGET = 2_000_000
 
 
 class WeightTransformError(ArithmeticError):
@@ -60,29 +66,35 @@ def profile_matrix_mod2(pm: ProfileMatrix) -> BitMatrix:
     return BitMatrix.from_rows(pm.entries)
 
 
-def _eliminate(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
-    """Reduced echelon form; returns (pivot columns, reduced pivot rows)."""
-    pivots: list[int] = []
-    reduced: list[int] = []
-    work = list(rows)
-    for col in range(n_cols):
-        pivot_row = None
-        for i, r in enumerate(work):
-            if (r >> col) & 1:
-                pivot_row = i
+def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced echelon form; returns (pivot columns, reduced pivot rows),
+    pivots ascending.
+
+    Each row is reduced by the pivot rows found so far, keyed by their
+    lowest set bit, until it is zero or brings a new lowest bit; one
+    back-substitution pass, highest pivot first, then clears each pivot
+    column from the rows above it.
+    """
+    by_low: dict[int, int] = {}
+    for r in rows:
+        while r:
+            low = r & -r
+            if low not in by_low:
+                by_low[low] = r
                 break
-        if pivot_row is None:
-            continue
-        pivot = work.pop(pivot_row)
-        work = [r ^ pivot if (r >> col) & 1 else r for r in work]
-        reduced = [r ^ pivot if (r >> col) & 1 else r for r in reduced]
-        pivots.append(col)
-        reduced.append(pivot)
-    return pivots, reduced
+            r ^= by_low[low]
+    lows = sorted(by_low)
+    reduced = [by_low[low] for low in lows]
+    for i in range(len(lows) - 1, 0, -1):
+        low, pivot = lows[i], reduced[i]
+        for j in range(i):
+            if reduced[j] & low:
+                reduced[j] ^= pivot
+    return [low.bit_length() - 1 for low in lows], reduced
 
 
 def gf2_rank(m: BitMatrix) -> int:
-    pivots, _ = _eliminate(list(m.rows), m.n_cols)
+    pivots, _ = _eliminate(m.rows)
     return len(pivots)
 
 
@@ -110,7 +122,7 @@ def gf2_nullspace(m: BitMatrix,
     is zero, so a sum of t basis vectors has weight >= t (used for pruning
     in low-weight enumeration).
     """
-    pivots, reduced = _eliminate(list(m.rows), m.n_cols)
+    pivots, reduced = _eliminate(m.rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.n_cols):
@@ -174,7 +186,12 @@ def odd_weight_total(dist: WeightDistribution) -> int:
 def span(basis: Sequence[int]) -> Iterator[int]:
     """Every subset sum of the basis, 0 first, in Gray-code order: each
     step flips one basis vector.  For an independent basis this is every
-    vector of the span, once."""
+    vector of the span, once.  Raises EnumerationLimitError, before the
+    first vector, when the basis has more than SPAN_LIMIT vectors."""
+    if len(basis) > SPAN_LIMIT:
+        raise EnumerationLimitError(
+            f"a span of dimension {len(basis)} exceeds the enumeration "
+            f"limit {SPAN_LIMIT}")
     v = 0
     yield v
     for i in range(1, 1 << len(basis)):
@@ -182,29 +199,16 @@ def span(basis: Sequence[int]) -> Iterator[int]:
         yield v
 
 
-def _span_weights(basis: list[int], extra_budget: int = 1 << 27) -> dict[int, int]:
-    """Weights of all 2^len(basis) subset sums."""
-    k = len(basis)
-    if 1 << k > extra_budget:
-        raise EnumerationLimitError(f"2^{k} codewords is beyond the "
-                                    "enumeration budget")
-    return Counter(map(int.bit_count, span(basis)))
-
-
-def dual_weight_distribution(m: BitMatrix,
-                             rank_limit: int = 26) -> WeightDistribution:
+def dual_weight_distribution(m: BitMatrix) -> WeightDistribution:
     """Exact weights of the row-space code (dimension = rank of M mod 2)."""
-    _, reduced = _eliminate(list(m.rows), m.n_cols)
-    if len(reduced) > rank_limit:
-        raise EnumerationLimitError(
-            f"rank {len(reduced)} exceeds the dual enumeration limit "
-            f"{rank_limit}")
-    return WeightDistribution(_span_weights(reduced))
+    _, reduced = _eliminate(m.rows)
+    return WeightDistribution(Counter(map(int.bit_count, span(reduced))))
 
 
 def enumerate_code_weights(spec: CodeSpec) -> WeightDistribution:
     """Direct enumeration of the nullspace code (oracle-grade, exponential)."""
-    return WeightDistribution(_span_weights(list(spec.nullspace_basis)))
+    return WeightDistribution(
+        Counter(map(int.bit_count, span(spec.nullspace_basis))))
 
 
 def krawtchouk(n: int, w: int, w_dual: int) -> int:
@@ -255,9 +259,7 @@ def _parity_ok(weight: int, parity: Parity) -> bool:
 
 
 def enumerate_low_weight(spec: CodeSpec, max_weight: int,
-                         parity: Parity = "any",
-                         work_budget: int = 2_000_000,
-                         cap: int | None = None) -> list[int]:
+                         parity: Parity = "any") -> list[int]:
     """All codewords of weight <= max_weight, as bit vectors, support-sorted.
 
     Complete because every basis vector contributes a private free-column
@@ -267,10 +269,10 @@ def enumerate_low_weight(spec: CodeSpec, max_weight: int,
     if max_weight > spec.n:
         raise ValueError("max_weight exceeds the code length")
     work = sum(comb(spec.k, t) for t in range(0, max_weight + 1))
-    if work > work_budget:
+    if work > ENUMERATION_BUDGET:
         raise EnumerationLimitError(
             f"{work} candidate combinations exceed the work budget "
-            f"{work_budget}")
+            f"{ENUMERATION_BUDGET}")
     found: list[int] = []
     for t in range(0, max_weight + 1):
         for combo in combinations(range(spec.k), t):
@@ -280,9 +282,6 @@ def enumerate_low_weight(spec: CodeSpec, max_weight: int,
             w = v.bit_count()
             if w <= max_weight and _parity_ok(w, parity):
                 found.append(v)
-                if cap is not None and len(found) > cap:
-                    raise EnumerationLimitError(
-                        f"more than {cap} codewords emitted")
     found.sort(key=_support)
     return found
 
@@ -310,9 +309,7 @@ def word_to_vector(w: Word, labels: tuple[str, ...]) -> int:
 
 def enumerate_words(spec: CodeSpec, max_weight: int,
                     parity: Parity = "odd",
-                    polytope: str | None = None,
-                    work_budget: int = 2_000_000,
-                    cap: int | None = None) -> list[Word]:
+                    polytope: str | None = None) -> list[Word]:
     """Low-weight codewords rendered as generator words.
 
     Deterministic: ordered lexicographically by support under the canonical
@@ -320,26 +317,21 @@ def enumerate_words(spec: CodeSpec, max_weight: int,
     """
     if spec.labels is None:
         raise ValueError("code spec carries no generator labels")
-    vectors = enumerate_low_weight(spec, max_weight, parity,
-                                   work_budget, cap)
-    return [vector_to_word(v, spec.labels, polytope) for v in vectors]
+    return [vector_to_word(v, spec.labels, polytope)
+            for v in enumerate_low_weight(spec, max_weight, parity)]
 
 
-def is_minimal_word(w: Word, pm: ProfileMatrix,
-                    support_limit: int = 25) -> bool:
+def is_minimal_word(w: Word, pm: ProfileMatrix) -> bool:
     """Whether no odd sub-word of w is itself a nullspace word.
 
     Restricts the counting matrix to the word's letters, enumerates the
     restricted nullspace exactly, and checks that the all-ones vector is
-    its only odd-weight element.
+    its only odd-weight element.  The walk is bounded by the restricted
+    nullity (span's limit), not by the word's length.
     """
     letters = sorted(w.letters, key=parse_letter)
     if len(letters) % 2 == 0:
         raise ValueError("minimality is defined for odd-weight words")
-    if len(letters) > support_limit:
-        raise EnumerationLimitError(
-            f"support {len(letters)} exceeds the exact-search limit "
-            f"{support_limit}")
     cols = [pm.col_labels.index(tok) for tok in letters]
     restricted = BitMatrix.from_rows(
         [[row[j] for j in cols] for row in pm.entries])

@@ -273,13 +273,38 @@ def test_word_verify_bad_node_budget_exit2(capsys, monkeypatch):
 
 
 def test_word_minimal_past_support_limit_exit6(capsys):
-    # 27 letters: beyond the exact-search limit of 25
+    # 31 letters, restricted nullity 27: beyond the span limit of 25
+    code = main(["word", "--polytope", "gosset",
+                 "a2a3b1c2d2d3d4d5d6d7d8e1e2f1f2f3f4f5f6f7f8f9g1g2g3g4g5"
+                 "h2h3i1i2", "minimal"])
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err == ("kspoly: a span of dimension 27 exceeds the enumeration "
+                   "limit 25\n")
+
+
+def test_word_minimal_long_non_proof_exit4(capsys):
+    # 27 letters, not a nullspace word: rejected before any walk
     code = main(["word", "--polytope", "120cell",
                  "abcdefghijklmnopqrstuvwxyza'", "minimal"])
     err = capsys.readouterr().err
-    assert code == 6
-    assert err == ("kspoly: support 27 exceeds the exact-search limit "
-                   "25\n")
+    assert code == 4
+    assert err.startswith("kspoly: word ") and err.count("\n") == 1
+
+
+def test_word_minimal_past_25_letters(capsys):
+    # 27 letters, restricted nullity 12
+    code, out = run(capsys, "word", "--polytope", "120cell",
+                    "abdfgilmnqrvwxa'b'c'd'e'g'i'k'n'o'q'r's'", "minimal")
+    assert code == 0
+    assert out.endswith("not minimal (length 27, bound 16)\n")
+
+
+def test_word_csv_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["word", "--polytope", "600cell", "a", "symbol",
+              "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_word_parse_error_exit2(capsys):
@@ -376,6 +401,30 @@ def test_geometry_requires_polytope(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geometry", "construct"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--polytope", "600cell"],
+    ["match", "--polytope", "600cell"],
+    ["rigidity"],
+], ids=lambda argv: argv[0])
+def test_geometry_csv_only_for_project(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", *argv, "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has no csv output" in captured.err
+
+
+def test_geometry_match_budget_exit6(capsys, monkeypatch):
+    from kspoly import geometry
+    monkeypatch.setattr(geometry, "MATCH_BUDGET", 1)
+    code = main(["geometry", "match", "--polytope", "600cell"])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err == "kspoly: isomorphism search exceeded 1 nodes\n"
 
 
 def test_proof_schema_accepts_interface_docs():

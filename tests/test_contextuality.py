@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROOFS_120, PROOFS_GOSSET
+from kspoly import contextuality
 from kspoly.contextuality import (SearchBudgetExceeded,
                                   certificate_for_bases, certificate_to_json,
                                   classify_decomposition, find_ks_assignment,
@@ -307,9 +308,10 @@ def test_subproofs_against_brute_force(cell600):
     assert set(got) == expect
 
 
-def test_decomposition_cap(cell120):
+def test_decomposition_cap(cell120, monkeypatch):
+    monkeypatch.setattr(contextuality, "SUBPROOF_CAP", 3)
     p = word_proof(cell120, "abkrf'")
-    dec = incidence_nullspace_proofs(p, cap=3)
+    dec = incidence_nullspace_proofs(p)
     assert dec.truncated
     assert len(dec.proofs) == 3
 

@@ -4,7 +4,10 @@ word enumeration/minimality."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kspoly import gf2
 from kspoly.gf2 import (BitMatrix, EnumerationLimitError, WeightDistribution,
                         WeightTransformError, _eliminate,
                         dual_weight_distribution,
@@ -51,10 +54,29 @@ def test_rank_against_closure_oracle():
     for _ in range(100):
         m = random_matrix(rng, max_rows=10, max_cols=14)
         assert gf2_rank(m) == brute_rank(m.rows, m.n_cols)
-        _, reduced = _eliminate(list(m.rows), m.n_cols)
+        _, reduced = _eliminate(m.rows)
         walk = list(span(reduced))
         assert len(walk) == len(set(walk))
         assert set(walk) == closure(m.rows)
+
+
+# tall and sparse, like the ray-by-basis incidence matrices: each row a
+# ray, each column a basis, a few ones per row
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n_cols: st.tuples(
+    st.just(n_cols),
+    st.lists(st.sets(st.integers(0, n_cols - 1), max_size=4),
+             min_size=1, max_size=40))))
+def test_eliminate_reduced_echelon(shape):
+    n_cols, supports = shape
+    rows = [sum(1 << j for j in s) for s in supports]
+    pivots, reduced = _eliminate(rows)
+    assert pivots == sorted(set(pivots))
+    assert len(reduced) == len(pivots)
+    for col, row in zip(pivots, reduced):
+        assert row & -row == 1 << col  # each pivot is its row's lowest bit
+        assert sum(r >> col & 1 for r in reduced) == 1
+    assert set(span(reduced)) == closure(rows)
 
 
 def test_nullspace_dimensions(polytopes):
@@ -201,7 +223,7 @@ def test_dual_rank_limit():
     rows = tuple(rng.getrandbits(40) | (1 << i) for i in range(30))
     m = BitMatrix(30, 40, rows)
     with pytest.raises(EnumerationLimitError):
-        dual_weight_distribution(m, rank_limit=26)
+        dual_weight_distribution(m)
 
 
 # --------------------------------------------------------------------------
@@ -232,11 +254,35 @@ def test_minimality_rejects_non_proofs(cell600):
         is_minimal_word(parse_word("c"), pm)  # not in the nullspace
 
 
-def test_minimality_support_limit(cell120):
-    *_x, pm, _ = cell120
-    word = parse_word(" ".join(pm.col_labels[:27]))
+# an odd Gosset nullspace word of 31 letters: its counting matrix
+# restricted to those letters has rank 4, so nullity 27
+GOSSET_NULLITY_27 = ("a2 a3 b1 c2 d2 d3 d4 d5 d6 d7 d8 e1 e2 f1 f2 f3 f4 f5 "
+                     "f6 f7 f8 f9 g1 g2 g3 g4 g5 h2 h3 i1 i2")
+
+
+def test_minimality_support_limit(gosset, monkeypatch):
+    """The walk is bounded by the restricted nullity, checked before the
+    first vector."""
+    *_x, pm, _ = gosset
+    walked = []
+    real_span = gf2.span
+
+    def spy(basis):
+        for v in real_span(basis):
+            walked.append(v)
+            yield v
+
+    monkeypatch.setattr(gf2, "span", spy)
+    with pytest.raises(EnumerationLimitError, match="dimension 27"):
+        is_minimal_word(parse_word(GOSSET_NULLITY_27), pm)
+    assert walked == []
+
+
+def test_span_limit(monkeypatch):
+    monkeypatch.setattr(gf2, "SPAN_LIMIT", 3)
+    assert sorted(span([1, 2, 4])) == list(range(8))
     with pytest.raises(EnumerationLimitError):
-        is_minimal_word(word, pm, support_limit=25)
+        next(span([1, 2, 4, 8]))
 
 
 def test_gosset_table_words_minimal(gosset):
@@ -301,10 +347,11 @@ def test_enumeration_even_and_any(cell600):
     assert len(everything) == 16
 
 
-def test_enumeration_work_budget(gosset):
+def test_enumeration_work_budget(gosset, monkeypatch):
     *_x, spec = gosset
+    monkeypatch.setattr(gf2, "ENUMERATION_BUDGET", 1000)
     with pytest.raises(EnumerationLimitError):
-        enumerate_low_weight(spec, 5, "odd", work_budget=1000)
+        enumerate_low_weight(spec, 5, "odd")
 
 
 def test_proposition_bound_on_enumerable_words(cell600):
