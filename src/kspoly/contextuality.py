@@ -16,8 +16,8 @@ from itertools import islice
 from typing import Mapping, Sequence
 
 from .gf2 import BitMatrix, _support, gf2_nullspace, span
-from .raysystem import (Basis, BasisTable, Word, parse_word, ray_index,
-                        ray_occurrences, render_word, word_to_bases)
+from .raysystem import (ORBIT, Basis, BasisTable, Word, parse_word,
+                        ray_index, ray_occurrences, render_word, word_to_bases)
 
 NODE_BUDGET_ENV = "KSPOLY_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -93,6 +93,13 @@ def find_ks_assignment(bases: Sequence[Basis],
     depth is not bounded by the recursion limit; each stack frame keeps
     its own state, so backtracking drops a frame and undoes nothing.
 
+    When the rays fill whole pentadecagons (ids 1-15, 16-30, ...) and the
+    bases are invariant under σ: r -> r+1 inside each, σ maps assignments
+    to assignments.  A root child "r = 1" refuted under sound bans means no
+    assignment has r = 1, so none has σ^k r = 1: r's orbit is banned, and
+    setting a banned ray to 1 is a conflict.  Bans only cut subtrees, so
+    the search returns the plain tree's assignment in no more nodes.
+
     node_budget caps the nodes; default comes from KSPOLY_NODE_BUDGET.
     SearchBudgetExceeded is raised on the first node past the budget.
     """
@@ -112,6 +119,8 @@ def find_ks_assignment(bases: Sequence[Basis],
             of_ray[p].append(bi)
     nbr: list[int | None] = [None] * len(rays)  # built on first use
     done = max(map(len, cols)) + 1  # above every free count
+    invariant = _rotation_invariant(rays, masks)
+    ban = 0  # rays no assignment sets to 1: orbits of refuted root children
 
     def set_one(p: int, one: int, zero: int,
                 free: list[int]) -> tuple[int, int] | None:
@@ -123,7 +132,7 @@ def find_ks_assignment(bases: Sequence[Basis],
             bit = 1 << p
             if one & bit:
                 continue
-            if zero & bit:
+            if (zero | ban) & bit:
                 return None
             m = nbr[p]
             if m is None:
@@ -162,6 +171,10 @@ def find_ks_assignment(bases: Sequence[Basis],
         frame = stack[-1]
         bi, i, one, zero, free = frame
         b = cols[bi]
+        if invariant and i and len(stack) == 1:
+            # the root child b[i - 1] is refuted
+            p = b[i - 1]
+            ban |= (1 << ORBIT) - 1 << p - p % ORBIT
         while i < len(b) and zero >> b[i] & 1:
             i += 1
         if i == len(b):
@@ -181,6 +194,27 @@ def find_ks_assignment(bases: Sequence[Basis],
             return {r: state[0] >> p & 1 for p, r in enumerate(rays)}
         stack.append([child.index(least), 0, *state, child])
     return None
+
+
+def _rotation_invariant(rays: tuple[int, ...], masks: list[int]) -> bool:
+    """Whether the rays fill whole blocks of ids 1-15, 16-30, ... and the
+    basis masks are invariant under σ: r -> r+1 inside each block."""
+    n = len(rays)
+    if not rays or n % ORBIT or rays[0] < 1 or any(
+            rays[k] % ORBIT != 1 or rays[k + ORBIT - 1] != rays[k] + ORBIT - 1
+            for k in range(0, n, ORBIT)):
+        return False
+    # σ on a mask over ray positions: shift each block up by one, the top
+    # bit of each block wrapping round to its bottom
+    top = sum(1 << k for k in range(ORBIT - 1, n, ORBIT))
+
+    def rotate(m: int) -> int:
+        return (m & ~top) << 1 | (m & top) >> ORBIT - 1
+
+    if rotate(masks[0]) not in masks:
+        return False
+    known = set(masks)
+    return all(rotate(m) in known for m in masks)
 
 
 # --------------------------------------------------------------------------
@@ -235,18 +269,28 @@ def classify_decomposition(p: Proof, subs: Sequence[Proof]) -> str:
                      if s.basis_indices <= target},
                     key=lambda s: (len(s), tuple(sorted(s))))
 
-    def cover(remaining: frozenset[int], start: int) -> bool:
-        if not remaining:
-            return True
+    def branches(remaining: frozenset[int], start: int):
+        """Each later piece holding the least uncovered basis that fits,
+        with what it leaves uncovered."""
         anchor = min(remaining)
         for i in range(start, len(pieces)):
             s = pieces[i]
             if anchor in s and s <= remaining:
-                if cover(remaining - s, i + 1):
-                    return True
-        return False
+                yield remaining - s, i + 1
 
-    return "direct_sum" if cover(target, 0) else "overlapping"
+    # depth-first over partial covers; an explicit stack of branch
+    # iterators, so the number of pieces is not bounded by the recursion
+    # limit
+    stack = [branches(target, 0)]
+    while stack:
+        for remaining, start in stack[-1]:
+            if not remaining:
+                return "direct_sum"
+            stack.append(branches(remaining, start))
+            break
+        else:
+            stack.pop()
+    return "overlapping"
 
 
 def local_indices(p: Proof, sub: Proof) -> tuple[int, ...]:

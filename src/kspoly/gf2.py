@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .raysystem import ProfileMatrix, Word, parse_letter
@@ -211,10 +212,15 @@ def enumerate_code_weights(spec: CodeSpec) -> WeightDistribution:
         Counter(map(int.bit_count, span(spec.nullspace_basis))))
 
 
-def krawtchouk(n: int, w: int, w_dual: int) -> int:
-    """Binary Krawtchouk kernel K_w(w_dual; n), exact."""
-    return sum((-1) ** j * comb(w_dual, j) * comb(n - w_dual, w - j)
-               for j in range(0, min(w, w_dual) + 1))
+def _kernel_rows(n: int) -> Iterator[list[int]]:
+    """The binary Krawtchouk kernel K_w(w'; n), w = 0..n, one row per dual
+    weight w' = 0..n: the coefficients of (1 - z)^w' (1 + z)^(n - w')."""
+    row = [comb(n, w) for w in range(n + 1)]
+    yield row
+    for _ in range(n):
+        # times (1 - z), then divided by (1 + z): q_w = p_w - q_(w-1)
+        row = list(accumulate(map(sub, row, [0, *row]), lambda q, p: p - q))
+        yield row
 
 
 def macwilliams_transform(dual: WeightDistribution,
@@ -227,10 +233,15 @@ def macwilliams_transform(dual: WeightDistribution,
     size = dual.total()
     if size <= 0 or size & (size - 1):
         raise WeightTransformError(f"dual size {size} is not a power of two")
+    top = max(dual.counts)
+    if top > n:
+        raise WeightTransformError(f"dual weight {top} exceeds the length {n}")
+    sums = [0] * (n + 1)
+    for wd, row in zip(range(top + 1), _kernel_rows(n)):
+        if c := dual[wd]:
+            sums = [s + c * k for s, k in zip(sums, row)]
     out: dict[int, int] = {}
-    items = dual.items()
-    for w in range(n + 1):
-        s = sum(c * krawtchouk(n, w, wd) for wd, c in items)
+    for w, s in enumerate(sums):
         if s < 0 or s % size:
             raise WeightTransformError(
                 f"weight {w}: transform value {s} not divisible by {size}")

@@ -1,6 +1,7 @@
 """Parity certificates, assignment search, and proof decomposition."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import PROOFS_120, PROOFS_GOSSET
 from kspoly import contextuality
-from kspoly.contextuality import (SearchBudgetExceeded,
+from kspoly.contextuality import (Proof, SearchBudgetExceeded,
                                   certificate_for_bases, certificate_to_json,
                                   classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, is_irreducible,
                                   local_indices, proof_from_json,
                                   proof_from_word, proof_to_json,
                                   verify_parity_proof)
-from kspoly.raysystem import parse_word, ray_basis_symbol, word_to_bases
+from kspoly.raysystem import (ORBIT, Word, parse_word, ray_basis_symbol,
+                              ray_index, word_to_bases)
 
 
 def word_proof(fixture, text):
@@ -125,14 +127,100 @@ def test_assignment_covers_exactly_examined_rays(cell120):
         assert sum(assignment[r] for r in b) == 1
 
 
+def doubled(bases):
+    """Every ray id doubled: the ray order, and so the plain search tree,
+    is kept, but the ids no longer fill whole pentadecagons, so the bases
+    are not rotation-invariant and no orbit is banned."""
+    return [tuple(2 * r for r in b) for b in bases]
+
+
+def plain_search(bases, node_budget):
+    """find_ks_assignment without orbit bans, mapped back to the input's
+    ray ids."""
+    found = find_ks_assignment(doubled(bases), node_budget)
+    return None if found is None else {r // 2: v for r, v in found.items()}
+
+
+def rotation_invariant(bases) -> bool:
+    rays, cols = ray_index(bases)
+    return contextuality._rotation_invariant(
+        rays, [sum(1 << p for p in set(b)) for b in cols])
+
+
 def test_gosset_e1_search_tree_size_is_pinned(gosset):
-    """e1 is refuted in exactly 15,163 nodes: one fewer exhausts the
-    budget.  Any change to the branching rule or the propagation moves
-    this count."""
-    bases = word_proof(gosset, "e1").bases()
+    """The plain tree on e1 (ids doubled) is refuted in exactly 15,163
+    nodes: one fewer exhausts the budget.  Any change to the branching rule
+    or the propagation moves this count."""
+    bases = doubled(word_proof(gosset, "e1").bases())
     with pytest.raises(SearchBudgetExceeded):
         find_ks_assignment(bases, node_budget=15_162)
     assert find_ks_assignment(bases, node_budget=15_163) is None
+
+
+def test_gosset_e1_banned_search_tree_size_is_pinned(gosset):
+    """e1 itself is rotation-invariant: banning the orbit of each refuted
+    root child cuts the same tree to exactly 3,140 nodes."""
+    bases = word_proof(gosset, "e1").bases()
+    assert rotation_invariant(bases)
+    with pytest.raises(SearchBudgetExceeded):
+        find_ks_assignment(bases, node_budget=3_139)
+    assert find_ks_assignment(bases, node_budget=3_140) is None
+
+
+def test_bans_keep_the_plain_assignment_on_words(polytopes):
+    """Every one-letter word of the three tables and seeded 2-3-letter
+    words: the banned search returns what the plain search returns, within
+    the plain search's budget.  Words whose plain search exceeds it are
+    not compared."""
+    rng = random.Random(1)
+    compared = found = 0
+    for _layout, _gens, table, *_ in polytopes.values():
+        words = [[letter] for letter in table.labels]
+        words += [rng.sample(table.labels, rng.choice((2, 3)))
+                  for _ in range(10)]
+        for letters in words:
+            indices = word_to_bases(Word(frozenset(letters)), table)
+            bases = [table.bases[i] for i in sorted(indices)]
+            try:
+                plain = plain_search(bases, 100_000)
+            except SearchBudgetExceeded:
+                continue
+            assert find_ks_assignment(bases, 100_000) == plain, letters
+            compared += 1
+            found += plain is not None
+    assert compared >= 210 and found >= 175
+
+
+# Z15 orbits of 1-4 random bases over the ray ids of 1-2 pentadecagons
+_orbit_instances = st.integers(1, 2).flatmap(lambda blocks: st.lists(
+    st.lists(st.integers(1, ORBIT * blocks), unique=True, min_size=1,
+             max_size=5), min_size=1, max_size=4))
+
+
+def rotate(r: int, s: int) -> int:
+    return r - (r - 1) % ORBIT + ((r - 1) % ORBIT + s) % ORBIT
+
+
+@settings(max_examples=100, deadline=None)
+@given(_orbit_instances)
+def test_bans_keep_the_plain_assignment_on_orbits(generators):
+    bases = [tuple(rotate(r, s) for r in g)
+             for g in generators for s in range(ORBIT)]
+    assert rotation_invariant(bases)
+    assert find_ks_assignment(bases) == plain_search(bases, None)
+
+
+def test_rotation_check_rejects(cell120):
+    bases = word_proof(cell120, "cdy").bases()
+    assert rotation_invariant(bases)
+    # one basis removed: the rays are unchanged, the orbit is broken
+    assert ray_index(bases[1:])[0] == ray_index(bases)[0]
+    assert not rotation_invariant(bases[1:])
+    # every id one up: the rays no longer start at a block start
+    assert not rotation_invariant([tuple(r + 1 for r in b) for b in bases])
+    # every id one block down: aligned blocks, but the first is -14..0
+    assert not rotation_invariant([tuple(r - ORBIT for r in b)
+                                   for b in bases])
 
 
 def test_branching_rule():
@@ -291,6 +379,16 @@ def test_table8_decomposition_structure(cell120):
 def test_classify_trivial_self(cell600):
     p = word_proof(cell600, "a")
     assert classify_decomposition(p, [p]) == "direct_sum"
+
+
+def test_classify_needs_no_recursion(gosset):
+    """All 2,025 Gosset bases as 2,025 singleton pieces: a cover 2,025
+    pieces deep, past the default recursion limit."""
+    _, _, table, *_ = gosset
+    n = len(table.bases)
+    singles = [Proof(table, frozenset({i})) for i in range(n)]
+    assert classify_decomposition(Proof(table, frozenset(range(n))),
+                                  singles) == "direct_sum"
 
 
 def test_subproofs_against_brute_force(cell600):

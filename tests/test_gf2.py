@@ -2,6 +2,7 @@
 word enumeration/minimality."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from kspoly import gf2
 from kspoly.gf2 import (BitMatrix, EnumerationLimitError, WeightDistribution,
-                        WeightTransformError, _eliminate,
+                        WeightTransformError, _eliminate, _kernel_rows,
                         dual_weight_distribution,
                         enumerate_code_weights, enumerate_low_weight,
                         enumerate_words, gf2_nullspace, gf2_rank, in_nullspace,
-                        is_minimal_word, krawtchouk, macwilliams_transform,
+                        is_minimal_word, macwilliams_transform,
                         minimality_bound, odd_weight_total,
                         profile_matrix_mod2, span)
 from kspoly.raysystem import parse_word, render_word
@@ -134,20 +135,19 @@ def test_dual_of_zero_matrix():
     assert odd_weight_total(dist) == 2 ** 6
 
 
-def test_krawtchouk_values():
-    # coefficient of x^w in (1-x)^wd (1+x)^(n-wd)
-    def by_polynomial(n, w, wd):
-        poly = [1]
-        for _ in range(wd):
-            poly = [a - b for a, b in zip(poly + [0], [0] + poly)]
-        for _ in range(n - wd):
-            poly = [a + b for a, b in zip(poly + [0], [0] + poly)]
-        return poly[w]
+def krawtchouk(n: int, w: int, w_dual: int) -> int:
+    """Binary Krawtchouk kernel K_w(w_dual; n) as its alternating sum of
+    binomial products."""
+    return sum((-1) ** j * comb(w_dual, j) * comb(n - w_dual, w - j)
+               for j in range(0, min(w, w_dual) + 1))
 
-    for n in range(0, 9):
-        for wd in range(n + 1):
-            for w in range(n + 1):
-                assert krawtchouk(n, w, wd) == by_polynomial(n, w, wd)
+
+def test_krawtchouk_values():
+    for n in (*range(0, 9), 45):
+        rows = list(_kernel_rows(n))
+        assert len(rows) == n + 1
+        for wd, row in enumerate(rows):
+            assert row == [krawtchouk(n, w, wd) for w in range(n + 1)]
 
 
 def test_macwilliams_600cell_against_enumeration(cell600):
@@ -216,6 +216,8 @@ def test_transform_rejects_bad_dual():
         macwilliams_transform(WeightDistribution({0: 1, 1: 2}), 4)
     with pytest.raises(WeightTransformError):
         macwilliams_transform(WeightDistribution({1: 4}), 4)
+    with pytest.raises(WeightTransformError):  # a weight past the length
+        macwilliams_transform(WeightDistribution({0: 1, 5: 1}), 4)
 
 
 def test_dual_rank_limit():
