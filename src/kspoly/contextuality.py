@@ -94,14 +94,17 @@ def find_ks_assignment(bases: Sequence[Basis],
     its own state, so backtracking drops a frame and undoes nothing.
 
     When the rays fill whole pentadecagons (ids 1-15, 16-30, ...) and the
-    bases are invariant under σ: r -> r+1 inside each, σ maps assignments
-    to assignments.  A root child "r = 1" refuted under sound bans means no
-    assignment has r = 1, so none has σ^k r = 1: r's orbit is banned, and
-    setting a banned ray to 1 is a conflict.  Bans only cut subtrees, so
-    the search returns the plain tree's assignment in no more nodes.
+    bases are invariant under σ^k (σ: r -> r+1 inside each; k the first of
+    1, 3, 5 that works), ⟨σ^k⟩ maps assignments to assignments.  A subtree
+    exhausted under valid cuts means no assignment has r = 1 (r a root
+    child) or r = c = 1 (c a child of root child r), so none has σ^jk r = 1
+    or σ^jk r = σ^jk c = 1: those rays are banned, those pairs forbidden.
+    Cuts only fail nodes and never touch the free counts, so the search
+    walks the plain tree minus the cut subtrees and returns its answer.
 
     node_budget caps the nodes; default comes from KSPOLY_NODE_BUDGET.
-    SearchBudgetExceeded is raised on the first node past the budget.
+    SearchBudgetExceeded is raised on the first node past the budget; its
+    message says how far the search got.
     """
     if node_budget is None:
         node_budget = int(os.environ.get(NODE_BUDGET_ENV,
@@ -119,8 +122,14 @@ def find_ks_assignment(bases: Sequence[Basis],
             of_ray[p].append(bi)
     nbr: list[int | None] = [None] * len(rays)  # built on first use
     done = max(map(len, cols)) + 1  # above every free count
-    invariant = _rotation_invariant(rays, masks)
+    step = _rotation_step(rays, masks)
     ban = 0  # rays no assignment sets to 1: orbits of refuted root children
+    pair = [0] * len(rays)  # per ray, the rays no assignment sets to 1 with it
+
+    def orbit(p: int) -> list[int]:
+        """σ^j p for j = 0, step, 2 step, ... below ORBIT."""
+        start = p - p % ORBIT
+        return [start + (p + j) % ORBIT for j in range(0, ORBIT, step)]
 
     def set_one(p: int, one: int, zero: int,
                 free: list[int]) -> tuple[int, int] | None:
@@ -140,7 +149,7 @@ def find_ks_assignment(bases: Sequence[Basis],
                 for bi in of_ray[p]:
                     m |= masks[bi]
                 m = nbr[p] = m & ~bit
-            if one & m:
+            if one & m or one & pair[p]:
                 return None
             one |= bit
             for bi in of_ray[p]:
@@ -171,10 +180,18 @@ def find_ks_assignment(bases: Sequence[Basis],
         frame = stack[-1]
         bi, i, one, zero, free = frame
         b = cols[bi]
-        if invariant and i and len(stack) == 1:
-            # the root child b[i - 1] is refuted
-            p = b[i - 1]
-            ban |= (1 << ORBIT) - 1 << p - p % ORBIT
+        if step and i and len(stack) <= 2:
+            # the child b[i - 1] is refuted, at the root or below root
+            # child r
+            if len(stack) == 1:
+                for q in orbit(b[i - 1]):
+                    ban |= 1 << q
+            else:
+                root_bi, root_i = stack[0][:2]
+                r = cols[root_bi][root_i - 1]
+                for q, c in zip(orbit(r), orbit(b[i - 1])):
+                    pair[q] |= 1 << c
+                    pair[c] |= 1 << q
         while i < len(b) and zero >> b[i] & 1:
             i += 1
         if i == len(b):
@@ -183,8 +200,12 @@ def find_ks_assignment(bases: Sequence[Basis],
         frame[1] = i + 1
         nodes += 1
         if nodes > node_budget:
+            root_bi, root_i = stack[0][:2]
             raise SearchBudgetExceeded(
-                f"assignment search exceeded {node_budget} nodes")
+                f"assignment search exceeded {node_budget} nodes "
+                f"({root_i - 1} of {len(cols[root_bi])} root branches "
+                f"refuted, {ban.bit_count()} rays banned, depth "
+                f"{len(stack)})")
         child = free.copy()
         state = set_one(b[i], one, zero, child)
         if state is None:
@@ -196,25 +217,24 @@ def find_ks_assignment(bases: Sequence[Basis],
     return None
 
 
-def _rotation_invariant(rays: tuple[int, ...], masks: list[int]) -> bool:
-    """Whether the rays fill whole blocks of ids 1-15, 16-30, ... and the
-    basis masks are invariant under σ: r -> r+1 inside each block."""
+def _rotation_step(rays: tuple[int, ...], masks: list[int]) -> int:
+    """The first k of 1, 3, 5 such that the rays fill whole blocks of ids
+    1-15, 16-30, ... and σ^k, σ: r -> r+1 inside each block, maps every
+    basis mask to a basis mask; 0 when there is none."""
     n = len(rays)
     if not rays or n % ORBIT or rays[0] < 1 or any(
-            rays[k] % ORBIT != 1 or rays[k + ORBIT - 1] != rays[k] + ORBIT - 1
-            for k in range(0, n, ORBIT)):
-        return False
-    # σ on a mask over ray positions: shift each block up by one, the top
-    # bit of each block wrapping round to its bottom
-    top = sum(1 << k for k in range(ORBIT - 1, n, ORBIT))
-
-    def rotate(m: int) -> int:
-        return (m & ~top) << 1 | (m & top) >> ORBIT - 1
-
-    if rotate(masks[0]) not in masks:
-        return False
+            rays[i] % ORBIT != 1 or rays[i + ORBIT - 1] != rays[i] + ORBIT - 1
+            for i in range(0, n, ORBIT)):
+        return 0
     known = set(masks)
-    return all(rotate(m) in known for m in masks)
+    for k in (1, 3, 5):
+        # σ^k on a mask over ray positions: shift each block up by k, the
+        # top k bits of each block wrapping round to its bottom
+        top = sum(((1 << k) - 1) << i + ORBIT - k for i in range(0, n, ORBIT))
+        if all((m & ~top) << k | (m & top) >> ORBIT - k in known
+               for m in masks):
+            return k
+    return 0
 
 
 # --------------------------------------------------------------------------

@@ -415,26 +415,24 @@ class MatchError(RuntimeError):
     """No ray bijection maps the computed bases onto the reference table."""
 
 
-MATCH_BUDGET = 200_000  # the most _iso_search calls in one match
+MATCH_BUDGET = 200_000  # the most nodes of one match's search
 
 
-def _refine(adj_a: Sequence[int], adj_b: Sequence[int],
+def _refine(nbrs_a: Sequence[tuple[int, ...]],
+            nbrs_b: Sequence[tuple[int, ...]],
             colors_a: list[int], colors_b: list[int]) -> bool:
-    """Joint Weisfeiler-Lehman color refinement; False when the color
-    class sizes of the two graphs diverge (no isomorphism possible)."""
+    """Joint Weisfeiler-Lehman color refinement over neighbour tuples;
+    False when the color class sizes of the two graphs diverge (no
+    isomorphism possible)."""
     while True:
         sig_ids: dict[tuple, int] = {}
-
-        def signature(adj, colors, i):
-            return (colors[i],
-                    tuple(sorted(map(colors.__getitem__, _support(adj[i])))))
-
-        new_a, new_b = [], []
-        for i in range(len(colors_a)):
-            s = signature(adj_a, colors_a, i)
-            new_a.append(sig_ids.setdefault(s, len(sig_ids)))
-        for i in range(len(colors_b)):
-            s = signature(adj_b, colors_b, i)
+        new_a = [sig_ids.setdefault(
+                     (c, tuple(sorted(map(colors_a.__getitem__, ns)))),
+                     len(sig_ids))
+                 for c, ns in zip(colors_a, nbrs_a)]
+        new_b = []
+        for c, ns in zip(colors_b, nbrs_b):
+            s = (c, tuple(sorted(map(colors_b.__getitem__, ns))))
             if s not in sig_ids:
                 return False
             new_b.append(sig_ids[s])
@@ -446,41 +444,51 @@ def _refine(adj_a: Sequence[int], adj_b: Sequence[int],
             return True
 
 
-def _iso_search(adj_a, adj_b, colors_a, colors_b, nodes: list[int]):
-    """Refine, then individualize one vertex of the smallest non-singleton
-    class against each candidate; nodes[0] counts the calls, up to
-    MATCH_BUDGET."""
-    nodes[0] += 1
-    if nodes[0] > MATCH_BUDGET:
-        raise EnumerationLimitError(
-            f"isomorphism search exceeded {MATCH_BUDGET} nodes")
-    ca, cb = list(colors_a), list(colors_b)
-    if not _refine(adj_a, adj_b, ca, cb):
-        return None
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(ca):
-        classes.setdefault(c, []).append(i)
-    multi = [(len(v), c) for c, v in classes.items() if len(v) > 1]
-    if not multi:
-        pos_b = {c: i for i, c in enumerate(cb)}
-        mapping = [pos_b[c] for c in ca]
-        for i in range(len(ca)):
-            image = sum(1 << mapping[j] for j in _support(adj_a[i]))
-            if image != adj_b[mapping[i]]:
-                return None
-        return mapping
-    _, color = min(multi)
-    v = classes[color][0]
-    next_color = max(ca) + len(ca) + 1
-    for u in range(len(cb)):
-        if cb[u] != color:
-            continue
-        ca2, cb2 = list(ca), list(cb)
-        ca2[v] = next_color
-        cb2[u] = next_color
-        found = _iso_search(adj_a, adj_b, ca2, cb2, nodes)
-        if found is not None:
-            return found
+def _iso_search(adj_a: Sequence[int], adj_b: Sequence[int]
+                ) -> list[int] | None:
+    """A vertex bijection carrying graph a onto graph b, or None.
+
+    Depth first: a node refines its coloring pair, then individualizes
+    the first vertex of a's smallest non-singleton class against each
+    vertex of that class in b, in order.  The search is an explicit stack
+    of child iterators, so its depth is not bounded by the recursion
+    limit; more than MATCH_BUDGET nodes raise EnumerationLimitError."""
+    nbrs_a = [_support(m) for m in adj_a]
+    nbrs_b = [_support(m) for m in adj_b]
+
+    def children(ca: list[int], cb: list[int]):
+        classes: dict[int, list[int]] = {}
+        for i, c in enumerate(ca):
+            classes.setdefault(c, []).append(i)
+        _, color = min((len(v), c) for c, v in classes.items() if len(v) > 1)
+        v = classes[color][0]
+        next_color = max(ca) + len(ca) + 1
+        for u in range(len(cb)):
+            if cb[u] == color:
+                ca2, cb2 = list(ca), list(cb)
+                ca2[v] = cb2[u] = next_color
+                yield ca2, cb2
+
+    nodes = 0
+    stack = [iter([([0] * len(adj_a), [0] * len(adj_b))])]
+    while stack:
+        for ca, cb in stack[-1]:
+            nodes += 1
+            if nodes > MATCH_BUDGET:
+                raise EnumerationLimitError(
+                    f"isomorphism search exceeded {MATCH_BUDGET} nodes")
+            if not _refine(nbrs_a, nbrs_b, ca, cb):
+                continue
+            if len(set(ca)) < len(ca):
+                stack.append(children(ca, cb))
+                break
+            pos_b = {c: i for i, c in enumerate(cb)}
+            mapping = [pos_b[c] for c in ca]
+            if all(sum(1 << mapping[j] for j in ns) == adj_b[mapping[i]]
+                   for i, ns in enumerate(nbrs_a)):
+                return mapping
+        else:
+            stack.pop()
     return None
 
 
@@ -501,8 +509,7 @@ def match_labeling(computed: Sequence[Basis],
     ids_b, gb = graph_from_bases(ref_bases)
     if ga.n != gb.n:
         raise MatchError(f"ray counts differ: {ga.n} vs {gb.n}")
-    mapping = _iso_search(ga.adjacency, gb.adjacency,
-                          [0] * ga.n, [0] * gb.n, [0])
+    mapping = _iso_search(ga.adjacency, gb.adjacency)
     if mapping is None:
         raise MatchError("no ray bijection maps the computed bases onto "
                          "the reference table")

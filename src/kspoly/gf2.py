@@ -335,10 +335,10 @@ def enumerate_words(spec: CodeSpec, max_weight: int,
 def is_minimal_word(w: Word, pm: ProfileMatrix) -> bool:
     """Whether no odd sub-word of w is itself a nullspace word.
 
-    Restricts the counting matrix to the word's letters, enumerates the
-    restricted nullspace exactly, and checks that the all-ones vector is
-    its only odd-weight element.  The walk is bounded by the restricted
-    nullity (span's limit), not by the word's length.
+    The all-ones vector lies in the nullspace of the counting matrix
+    restricted to w's letters, so that nullspace's odd vectors are
+    all-ones plus its even subcode, of dimension nullity - 1: w is minimal
+    iff the restricted nullity is 1.  Nothing is enumerated.
     """
     letters = sorted(w.letters, key=parse_letter)
     if len(letters) % 2 == 0:
@@ -349,6 +349,4 @@ def is_minimal_word(w: Word, pm: ProfileMatrix) -> bool:
     all_ones = (1 << len(cols)) - 1
     if not in_nullspace(restricted, all_ones):
         raise ValueError(f"word {w} is not a nullspace element")
-    sub = gf2_nullspace(restricted)
-    return all(v == all_ones for v in span(sub.nullspace_basis)
-               if v.bit_count() % 2)
+    return gf2_nullspace(restricted).k == 1

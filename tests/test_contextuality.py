@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import PROOFS_120, PROOFS_GOSSET
@@ -129,42 +129,67 @@ def test_assignment_covers_exactly_examined_rays(cell120):
 
 def doubled(bases):
     """Every ray id doubled: the ray order, and so the plain search tree,
-    is kept, but the ids no longer fill whole pentadecagons, so the bases
-    are not rotation-invariant and no orbit is banned."""
+    is kept, but the ids no longer fill whole pentadecagons, so no
+    rotation step is found and nothing is cut."""
     return [tuple(2 * r for r in b) for b in bases]
 
 
 def plain_search(bases, node_budget):
-    """find_ks_assignment without orbit bans, mapped back to the input's
-    ray ids."""
+    """find_ks_assignment without symmetric cuts, mapped back to the
+    input's ray ids."""
     found = find_ks_assignment(doubled(bases), node_budget)
     return None if found is None else {r // 2: v for r, v in found.items()}
 
 
-def rotation_invariant(bases) -> bool:
+def rotation_step(bases) -> int:
     rays, cols = ray_index(bases)
-    return contextuality._rotation_invariant(
+    return contextuality._rotation_step(
         rays, [sum(1 << p for p in set(b)) for b in cols])
+
+
+# the local positions, in e1 e2, of a 15-basis sub-proof invariant under
+# σ^5 but not under σ
+E1E2_SIGMA5 = (1, 2, 3, 6, 7, 8, 11, 12, 13, 18, 20, 23, 25, 28, 30)
+
+
+def local_bases(fixture, text, positions):
+    """The bases at 1-based positions of a word's sorted basis list."""
+    p = word_proof(fixture, text)
+    order = sorted(p.basis_indices)
+    return [p.table.bases[order[j - 1]] for j in positions]
+
+
+def assert_tree_size(bases, nodes):
+    """The search takes exactly `nodes` nodes to refute bases."""
+    with pytest.raises(SearchBudgetExceeded):
+        find_ks_assignment(bases, node_budget=nodes - 1)
+    assert find_ks_assignment(bases, node_budget=nodes) is None
 
 
 def test_gosset_e1_search_tree_size_is_pinned(gosset):
     """The plain tree on e1 (ids doubled) is refuted in exactly 15,163
     nodes: one fewer exhausts the budget.  Any change to the branching rule
     or the propagation moves this count."""
-    bases = doubled(word_proof(gosset, "e1").bases())
-    with pytest.raises(SearchBudgetExceeded):
-        find_ks_assignment(bases, node_budget=15_162)
-    assert find_ks_assignment(bases, node_budget=15_163) is None
+    assert_tree_size(doubled(word_proof(gosset, "e1").bases()), 15_163)
 
 
 def test_gosset_e1_banned_search_tree_size_is_pinned(gosset):
-    """e1 itself is rotation-invariant: banning the orbit of each refuted
-    root child cuts the same tree to exactly 3,140 nodes."""
+    """e1 itself is invariant under σ: banning the orbit of each refuted
+    root child and forbidding the σ-images of each refuted pair of a root
+    child and its child cuts the same tree to exactly 2,349 nodes."""
     bases = word_proof(gosset, "e1").bases()
-    assert rotation_invariant(bases)
-    with pytest.raises(SearchBudgetExceeded):
-        find_ks_assignment(bases, node_budget=3_139)
-    assert find_ks_assignment(bases, node_budget=3_140) is None
+    assert rotation_step(bases) == 1
+    assert_tree_size(bases, 2_349)
+
+
+def test_gosset_sigma5_search_tree_size_is_pinned(gosset):
+    """A 15-basis sub-proof of e1 e2 is invariant under σ^5 only: its plain
+    tree (ids doubled) takes 17,792 nodes, cut by ⟨σ^5⟩ 8,854."""
+    bases = local_bases(gosset, "e1 e2", E1E2_SIGMA5)
+    assert certificate_for_bases(bases).valid
+    assert rotation_step(bases) == 5
+    assert_tree_size(doubled(bases), 17_792)
+    assert_tree_size(bases, 8_854)
 
 
 def test_bans_keep_the_plain_assignment_on_words(polytopes):
@@ -206,21 +231,71 @@ def rotate(r: int, s: int) -> int:
 def test_bans_keep_the_plain_assignment_on_orbits(generators):
     bases = [tuple(rotate(r, s) for r in g)
              for g in generators for s in range(ORBIT)]
-    assert rotation_invariant(bases)
+    assert rotation_step(bases) == 1
     assert find_ks_assignment(bases) == plain_search(bases, None)
 
 
-def test_rotation_check_rejects(cell120):
+def invariant_under(bases, s: int) -> bool:
+    """Whether rotating every ray by s inside its block maps the set of
+    bases onto itself."""
+    known = {frozenset(b) for b in bases}
+    return {frozenset(rotate(r, s) for r in b) for b in bases} == known
+
+
+# <σ^k>-orbits of 1-3 random bases over 1-2 pentadecagons, k = 3 or 5,
+# plus the Z15 orbit of one basis with a ray in every block, at these
+# offsets, so that the rays fill whole blocks
+_subgroup_instances = st.tuples(
+    st.sampled_from((3, 5)), st.integers(1, 2)).flatmap(
+    lambda kb: st.tuples(
+        st.just(kb[0]),
+        st.lists(st.lists(st.integers(1, ORBIT * kb[1]), unique=True,
+                          min_size=1, max_size=5), min_size=1, max_size=3),
+        st.lists(st.integers(0, ORBIT - 1), min_size=kb[1],
+                 max_size=kb[1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_subgroup_instances)
+def test_cuts_keep_the_plain_assignment_under_subgroups(instance):
+    k, generators, offsets = instance
+    spanning = tuple(ORBIT * i + 1 + o for i, o in enumerate(offsets))
+    bases = [tuple(rotate(r, s) for r in g)
+             for g in generators for s in range(0, ORBIT, k)]
+    bases += [tuple(rotate(r, s) for r in spanning) for s in range(ORBIT)]
+    assert invariant_under(bases, k)
+    assume(not invariant_under(bases, 1))
+    assert rotation_step(bases) == k
+    assert find_ks_assignment(bases) == plain_search(bases, None)
+
+
+def test_cuts_keep_the_plain_answer_on_subproofs(cell120, gosset):
+    """Every sub-proof of cdy and e1 e2, invariant under σ, σ^5 or
+    nothing: the same answer as the plain search."""
+    for fixture, text in ((cell120, "cdy"), (gosset, "e1 e2")):
+        for s in incidence_nullspace_proofs(word_proof(fixture, text)).proofs:
+            bases = s.bases()
+            assert find_ks_assignment(bases) == plain_search(bases, None)
+
+
+def test_rotation_check_rejects(cell120, gosset):
     bases = word_proof(cell120, "cdy").bases()
-    assert rotation_invariant(bases)
+    assert rotation_step(bases) == 1
     # one basis removed: the rays are unchanged, the orbit is broken
     assert ray_index(bases[1:])[0] == ray_index(bases)[0]
-    assert not rotation_invariant(bases[1:])
+    assert rotation_step(bases[1:]) == 0
     # every id one up: the rays no longer start at a block start
-    assert not rotation_invariant([tuple(r + 1 for r in b) for b in bases])
+    assert rotation_step([tuple(r + 1 for r in b) for b in bases]) == 0
     # every id one block down: aligned blocks, but the first is -14..0
-    assert not rotation_invariant([tuple(r - ORBIT for r in b)
-                                   for b in bases])
+    assert rotation_step([tuple(r - ORBIT for r in b) for b in bases]) == 0
+    # the same for a σ^5-invariant sub-proof with one basis removed
+    sub = local_bases(gosset, "e1 e2", E1E2_SIGMA5)
+    assert rotation_step(sub) == 5
+    assert rotation_step(sub[1:]) == 0
+    # doubled ids fill no whole block, so plain_search is plain at every
+    # step
+    for b in (bases, sub, word_proof(gosset, "e1").bases()):
+        assert rotation_step(doubled(b)) == 0
 
 
 def test_branching_rule():

@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import math
+import sys
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -416,6 +418,24 @@ def test_match_count_mismatch(h4, gosset):
     computed = enumerate_bases(orthogonality_graph(h4), 4)
     with pytest.raises(MatchError):
         match_labeling(computed, table)
+
+
+def test_match_needs_no_recursion():
+    """150 disjoint pairs match only by individualizing one ray per pair,
+    a search 150 levels deep.  It runs under a recursion limit of 50
+    frames above the caller's."""
+    pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(150))
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        mapping = match_labeling(pairs, SimpleNamespace(bases=pairs))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert {frozenset(map(mapping.get, p)) for p in pairs} == set(
+        map(frozenset, pairs))
 
 
 def test_match_rejects_wrong_structure(cell600):

@@ -5,7 +5,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kspoly import gf2
@@ -263,21 +263,44 @@ GOSSET_NULLITY_27 = ("a2 a3 b1 c2 d2 d3 d4 d5 d6 d7 d8 e1 e2 f1 f2 f3 f4 f5 "
 
 
 def test_minimality_support_limit(gosset, monkeypatch):
-    """The walk is bounded by the restricted nullity, checked before the
-    first vector."""
+    """A restricted nullity past span's limit is answered all the same:
+    minimality reads the nullity and walks nothing."""
     *_x, pm, _ = gosset
-    walked = []
-    real_span = gf2.span
 
-    def spy(basis):
-        for v in real_span(basis):
-            walked.append(v)
-            yield v
+    def no_walk(basis):
+        raise AssertionError("minimality walked a span")
 
-    monkeypatch.setattr(gf2, "span", spy)
-    with pytest.raises(EnumerationLimitError, match="dimension 27"):
-        is_minimal_word(parse_word(GOSSET_NULLITY_27), pm)
-    assert walked == []
+    monkeypatch.setattr(gf2, "span", no_walk)
+    assert not is_minimal_word(parse_word(GOSSET_NULLITY_27), pm)
+
+
+def odd_sub_words_in_nullspace(m: BitMatrix, v: int) -> list[int]:
+    """Every odd sub-vector of v in m's nullspace, by walking all of them."""
+    support = [1 << i for i in range(m.n_cols) if v >> i & 1]
+    found = []
+    for mask in range(1, 1 << len(support)):
+        if mask.bit_count() % 2:
+            u = sum(b for j, b in enumerate(support) if mask >> j & 1)
+            if in_nullspace(m, u):
+                found.append(u)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("600cell", "120cell", "gosset")),
+       st.lists(st.integers(0, 130), min_size=1, max_size=3, unique=True))
+def test_minimality_is_nullity_one(polytopes, name, picks):
+    """On short random odd nullspace words (sums of 1-3 nullspace basis
+    words), nullity 1 agrees with the walk over every odd sub-word."""
+    *_x, pm, spec = polytopes[name]
+    v = 0
+    for i in picks:
+        v ^= spec.nullspace_basis[i % spec.k]
+    assume(v.bit_count() % 2 and v.bit_count() <= 13)
+    m = profile_matrix_mod2(pm)
+    word = gf2.vector_to_word(v, spec.labels)
+    assert is_minimal_word(word, pm) == (
+        odd_sub_words_in_nullspace(m, v) == [v])
 
 
 def test_span_limit(monkeypatch):
