@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping, Sequence
 
-from .gf2 import BitMatrix, _support, gf2_nullspace, span
+from .gf2 import BitMatrix, _support, gf2_nullspace, gf2_rank, span
 from .raysystem import (ORBIT, Basis, BasisTable, Word, parse_word,
                         ray_index, ray_occurrences, render_word, word_to_bases)
 
@@ -248,6 +248,17 @@ class Decomposition:
     nullity: int
 
 
+def _incidence(p: Proof) -> BitMatrix:
+    """The ray-by-basis incidence matrix of p's bases, columns in basis
+    index order."""
+    rays, cols = ray_index(p.bases())
+    rows = [0] * len(rays)
+    for col, b in enumerate(cols):
+        for r in b:
+            rows[r] |= 1 << col
+    return BitMatrix(len(rows), len(cols), tuple(rows))
+
+
 def incidence_nullspace_proofs(p: Proof) -> Decomposition:
     """Every embedded parity proof among subsets of p's bases.
 
@@ -258,12 +269,7 @@ def incidence_nullspace_proofs(p: Proof) -> Decomposition:
     flag when there are more.
     """
     order = sorted(p.basis_indices)
-    rays, cols = ray_index(p.table.bases[i] for i in order)
-    rows = [0] * len(rays)
-    for col, b in enumerate(cols):
-        for r in b:
-            rows[r] |= 1 << col
-    spec = gf2_nullspace(BitMatrix(len(rows), len(order), tuple(rows)))
+    spec = gf2_nullspace(_incidence(p))
     odd = (v for v in span(spec.nullspace_basis) if v.bit_count() % 2)
     subs = [frozenset(order[j] for j in _support(v))
             for v in islice(odd, SUBPROOF_CAP + 1)]
@@ -275,10 +281,16 @@ def incidence_nullspace_proofs(p: Proof) -> Decomposition:
 
 
 def is_irreducible(p: Proof) -> bool:
-    """True iff p contains no embedded parity proof other than itself."""
-    dec = incidence_nullspace_proofs(p)
-    return (not dec.truncated and len(dec.proofs) == 1
-            and dec.proofs[0].basis_indices == p.basis_indices)
+    """True iff p contains no embedded parity proof other than itself.
+
+    When p is a parity proof, its all-ones vector is an odd vector of the
+    incidence nullspace, and the odd vectors are all-ones plus the even
+    subcode: 2^(nullity - 1) of them.  So p is irreducible iff it is a
+    parity proof of incidence nullity 1.  One rank, no enumeration.
+    """
+    m = _incidence(p)
+    return (verify_parity_proof(p).valid
+            and m.n_cols - gf2_rank(m) == 1)
 
 
 def classify_decomposition(p: Proof, subs: Sequence[Proof]) -> str:

@@ -7,9 +7,14 @@ sign changes; doubling it by the a-scaling and applying the coordinate map
 120-cell is derived as the 600-cell's cell centers, with no coordinate
 file.  Bases are recovered with no reference to the numbered tables, as
 d-cliques of the exact orthogonality graph, so the combinatorial tables can
-be validated by hypergraph isomorphism.  Only the triacontagonal
-(Coxeter-plane) projection uses floating point; every orthogonality
-decision is exact.
+be validated by hypergraph isomorphism.
+
+The Coxeter element w, the product of the simple reflections, is computed
+exactly as a permutation of the rays.  It has order 15 and its orbits are
+the projected pentadecagons, so the orthogonality graph is built from one
+ray per orbit, each row carried round its orbit, and the clique walk starts
+only from one ray per orbit.  Only the triacontagonal (Coxeter-plane)
+projection uses floating point; every orthogonality decision is exact.
 """
 
 from __future__ import annotations
@@ -136,7 +141,8 @@ def build_120cell_rays() -> RaySet:
     """
     h4 = icosian_600cell()
     verts = [v for u in h4.vectors for v in (u, vec_neg(u))]
-    cells = enumerate_bases(_graph(verts, (2, -2)), 4)
+    cells = enumerate_bases(
+        _graph(verts, (2, -2), tuple(range(len(verts)))), 4)
     if len(cells) != 600:
         raise RuntimeError(f"expected 600 cells, found {len(cells)}")
     centers = {canonical_sign(tuple(
@@ -153,34 +159,91 @@ def build_120cell_rays() -> RaySet:
 
 @dataclass(frozen=True)
 class OrthoGraph:
+    """A graph on vertices 0..n-1, with a vertex permutation that maps
+    edges to edges (`symmetry`, the identity when not given); clique
+    enumeration relies on it."""
+
     n: int
     adjacency: tuple[int, ...]  # vertex -> neighbor bitset
+    symmetry: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        perm = self.symmetry
+        if perm is None:
+            object.__setattr__(self, "symmetry", perm := tuple(range(self.n)))
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError("symmetry is not a permutation of the vertices")
 
     @property
     def n_edges(self) -> int:
         return sum(a.bit_count() for a in self.adjacency) // 2
 
-    def edges(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, bits in enumerate(self.adjacency)
-                for j in _support(bits >> (i + 1) << (i + 1))}
-
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
 
-def _graph(vectors: Sequence[GoldenVector], value: Golden) -> OrthoGraph:
-    """The graph joining two vectors when their inner product is `value`."""
-    adj = [0] * len(vectors)
-    for i, u in enumerate(vectors):
-        for j in range(i + 1, len(vectors)):
-            if golden.dot(u, vectors[j]) == value:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return OrthoGraph(len(vectors), tuple(adj))
+def _permute(mask: int, perm: Sequence[int]) -> int:
+    """The image of a vertex bitset under a vertex permutation."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _graph(vectors: Sequence[GoldenVector], value: Golden,
+           perm: Sequence[int]) -> OrthoGraph:
+    """The graph joining two vectors when their inner product is `value`,
+    given a vertex permutation that preserves that relation.
+
+    Exact products are taken only from the least vertex r of each orbit,
+    against the vertices whose rows are not yet known; the rows known
+    already supply the rest of r's row.  The row then travels round the
+    orbit: adj(perm x) = perm(adj x).  Under the identity every orbit is
+    one vertex and each pair is tested once.
+    """
+    n = len(vectors)
+    adj = [0] * n
+    pending = list(range(n))  # the vertices whose rows are not yet known
+    unknown = (1 << n) - 1  # the same, as a bitset
+    dot = golden.dot
+    while pending:
+        r = pending.pop(0)
+        u, row, bit = vectors[r], adj[r], 1 << r
+        unknown ^= bit
+        for j in pending:
+            if dot(u, vectors[j]) == value:
+                row |= 1 << j
+                adj[j] |= bit
+        adj[r] = row
+        x = perm[r]
+        while x != r:
+            pending.remove(x)
+            unknown ^= 1 << x
+            adj[x] = row = _permute(row, perm)
+            for y in _support(row & unknown):
+                adj[y] |= 1 << x
+            x = perm[x]
+    return OrthoGraph(n, tuple(adj), tuple(perm))
 
 
 def orthogonality_graph(rs: RaySet) -> OrthoGraph:
-    return _graph(rs.vectors, ZERO)
+    """The exact orthogonality graph, with the Coxeter element as its
+    symmetry, built by transport along w's orbits."""
+    return _graph(rs.vectors, ZERO, coxeter_permutation(rs))
+
+
+def _basis_rows(n: int, bases: Iterable[Sequence[int]]) -> list[int]:
+    """Per vertex, the vertices it shares a basis with (itself excluded)."""
+    rows = [0] * n
+    for b in bases:
+        mask = 0
+        for x in b:
+            mask |= 1 << x
+        for x in b:
+            rows[x] |= mask
+    return [row & ~(1 << x) for x, row in enumerate(rows)]
 
 
 def graph_from_bases(bases: Iterable[Basis]
@@ -188,20 +251,23 @@ def graph_from_bases(bases: Iterable[Basis]
     """Co-occurrence graph of a basis list, and the ray id of each vertex
     (the rays that occur, sorted)."""
     rays, cols = ray_index(bases)
-    adj = [0] * len(rays)
-    for b in cols:
-        for x, y in itertools.combinations(b, 2):
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-    return rays, OrthoGraph(len(rays), tuple(adj))
+    return rays, OrthoGraph(len(rays), tuple(_basis_rows(len(rays), cols)))
 
 
 def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
-    """All d-cliques of the graph, sorted, each exactly once."""
+    """All d-cliques of the graph, sorted, each exactly once.
+
+    The orbits of g.symmetry are taken in order of their least vertex.  A
+    clique whose first orbit is O holds some vertex of O, so a power of the
+    symmetry carries it onto a clique through O's least vertex r whose
+    other vertices lie in O or a later orbit.  Only those are walked, and
+    each is carried round r's orbit.  Under the identity this is the plain
+    walk from every vertex over the vertices above it.
+    """
     if d < 1:
         raise ValueError("clique size must be positive")
+    adj, perm = g.adjacency, g.symmetry
     out: list[tuple[int, ...]] = []
-    adj = g.adjacency
 
     def extend(clique: list[int], cand: int) -> None:
         if len(clique) == d:
@@ -216,24 +282,34 @@ def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
             extend(clique, cand & adj[v])
             clique.pop()
 
-    above = [(1 << g.n) - 1 & ~((1 << (v + 1)) - 1) for v in range(g.n)]
-    for v in range(g.n):
-        extend([v], adj[v] & above[v])
+    rest = (1 << g.n) - 1  # the vertices of this orbit and the later ones
+    for r in range(g.n):
+        if not rest >> r & 1:
+            continue
+        # r is the least vertex of rest, so every clique walked is sorted
+        start = len(out)
+        extend([r], adj[r] & rest)
+        rest &= ~(1 << r)
+        walked = out[start:]
+        x = perm[r]
+        while x != r:
+            rest &= ~(1 << x)
+            walked = [tuple(perm[v] for v in q) for q in walked]
+            out.extend(tuple(sorted(q)) for q in walked)
+            x = perm[x]
+    # a clique is reached once per vertex it has in its first orbit
     out.sort()
-    return out
+    return [q for i, q in enumerate(out) if not i or q != out[i - 1]]
 
 
 def saturated(g: OrthoGraph, bases: Iterable[tuple[int, ...]]) -> bool:
-    """Whether every edge of the graph occurs inside some basis."""
-    covered = set()
-    for b in bases:
-        for x, y in itertools.combinations(sorted(b), 2):
-            covered.add((x, y))
-    return covered == g.edges()
+    """Whether the bases cover exactly the edges of the graph."""
+    return _basis_rows(g.n, bases) == list(g.adjacency)
 
 
 # --------------------------------------------------------------------------
-# triacontagonal (Coxeter-plane) projection
+# the Coxeter element: an exact ray permutation, and the triacontagonal
+# (Coxeter-plane) projection
 
 
 # simple-system Gram matrices at root norm 4, by dimension (H4, E8):
@@ -279,6 +355,50 @@ def _simple_system(rs: RaySet) -> list[GoldenVector]:
     if not extend():
         raise RuntimeError("no simple system realises the Coxeter diagram")
     return chosen
+
+
+def _reflect(v: GoldenVector, root: GoldenVector) -> GoldenVector:
+    """The reflection of v in the hyperplane of a root of squared norm 4,
+    computed as 2 s(v) = 2v - (v.root) root and halved exactly; ValueError
+    when s(v) has an entry outside the golden ring."""
+    cm, cn = golden.dot(v, root)
+    out = []
+    for (m, n), (p, q) in zip(v, root):
+        # (v.root) * (p + q a) multiplied out with a^2 = a + 1, inline: the
+        # 1,200 reflections of the 120-cell take twice as long through
+        # golden.vec_scale
+        tm = 2 * m - cm * p - cn * q
+        tn = 2 * n - cm * q - cn * p - cn * q
+        if tm % 2 or tn % 2:
+            raise ValueError("reflection leaves the golden ring")
+        out.append((tm // 2, tn // 2))
+    return tuple(out)
+
+
+def coxeter_permutation(rs: RaySet) -> tuple[int, ...]:
+    """The Coxeter element w (the simple reflections in order) as a
+    permutation of the ray indices: ray i goes to the ray of w(v_i).
+
+    A 4-d set uses the 600-cell's simple system, so the 120-cell and the
+    a-scaled 600-cell share the 600-cell's w; an 8-d set uses its own.  On
+    the three polytopes w has order 15 and its orbits are the projected
+    pentadecagons.  A set that w does not map onto itself gets the
+    identity.
+    """
+    simple = _simple_system(icosian_600cell() if rs.dimension == 4 else rs)
+    index = {v: i for i, v in enumerate(rs.vectors)}
+    perm = []
+    for v in rs.vectors:
+        try:
+            for root in simple:
+                v = _reflect(v, root)
+        except ValueError:
+            return tuple(range(len(rs)))
+        j = index.get(canonical_sign(v))
+        if j is None:
+            return tuple(range(len(rs)))
+        perm.append(j)
+    return tuple(perm)
 
 
 def _fdot(u: Sequence[float], v: Sequence[float]) -> float:

@@ -118,10 +118,19 @@ def check_generators(layout: PentadecagonLayout,
 
 def expand_orbit(gen: Generator, layout: PentadecagonLayout,
                  shift: int) -> Basis:
-    """Shift every ray of the generator by `shift` with wraparound."""
+    """Shift every ray of the generator by `shift` with wraparound.
+
+    A layout numbers its pentadecagons in blocks of fifteen ids from 1, so
+    ray r shifts inside the block starting at r - (r - 1) % 15.
+    """
     if not 0 <= shift <= ORBIT - 1:
         raise ValueError(f"shift {shift} outside 0..14")
-    return tuple(sorted(layout.shift_ray(r, shift) for r in gen.rays))
+    rays = gen.rays
+    if rays and not 1 <= rays[0] <= rays[-1] <= layout.n_rays:
+        raise ValueError(f"generator {gen.label}: ray out of range "
+                         f"1..{layout.n_rays}")
+    return tuple(sorted(r - (r - 1) % ORBIT + (r - 1 + shift) % ORBIT
+                        for r in rays))
 
 
 @dataclass(frozen=True)

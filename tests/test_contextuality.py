@@ -433,6 +433,29 @@ def test_irreducibility_fixtures(cell120, gosset):
         assert is_irreducible(word_proof(gosset, text)), text
 
 
+def test_irreducibility_walks_nothing(cell600, cell120, monkeypatch):
+    """is_irreducible agrees with the walked decomposition, on proofs and
+    on non-proofs, with the span walk switched off."""
+    proofs = [word_proof(cell120, text) for text, *_ in PROOFS_120]
+    a = word_proof(cell600, "a")
+    two_of_c = set(sorted(word_proof(cell600, "c").basis_indices)[:2])
+    # the last: seventeen bases, incidence nullity 1, not a parity proof
+    proofs += [a, word_proof(cell600, "c"), word_proof(cell600, "a b"),
+               Proof(a.table, a.basis_indices | two_of_c)]
+    walked = []
+    for p in proofs:
+        dec = incidence_nullspace_proofs(p)
+        walked.append([s.basis_indices for s in dec.proofs]
+                      == [p.basis_indices])
+
+    def no_walk(basis):
+        raise AssertionError("is_irreducible walked a span")
+
+    monkeypatch.setattr(contextuality, "span", no_walk)
+    assert [is_irreducible(p) for p in proofs] == walked
+    assert walked[-4:] == [True, False, False, False]
+
+
 def test_table8_decomposition_structure(cell120):
     layout, _, table, *_ = cell120
     for text, _sym, kind in PROOFS_120:

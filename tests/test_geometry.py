@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from kspoly import geometry, golden
 from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
-                             build_120cell_rays, coxeter_projection,
-                             e8_rays, enumerate_bases,
+                             build_120cell_rays, coxeter_permutation,
+                             coxeter_projection, e8_rays, enumerate_bases,
                              grid_slots, icosian_600cell, match_labeling,
                              orthogonality_graph, pentadecagon_classes,
                              projection_to_csv, rayset_to_json,
@@ -292,6 +292,136 @@ def test_cliques_complete_graph():
     adj = tuple(((1 << n) - 1) ^ (1 << i) for i in range(n))
     g = OrthoGraph(n, adj)
     assert len(enumerate_bases(g, 4)) == math.comb(6, 4)
+
+
+# --------------------------------------------------------------------------
+# the exact Coxeter element, and transport along its orbits
+
+
+@pytest.fixture(scope="module")
+def three(h4, e8, cell120_rays):
+    return {"600cell": h4, "120cell": cell120_rays, "gosset": e8}
+
+
+def _orbits(perm):
+    left, out = set(range(len(perm))), []
+    while left:
+        x = start = min(left)
+        orbit = []
+        while True:
+            orbit.append(x)
+            x = perm[x]
+            if x == start:
+                break
+        left -= set(orbit)
+        out.append(orbit)
+    return out
+
+
+def _all_pairs_adjacency(rs):
+    """The reference: every pair of rays tested with one exact product."""
+    adj = [0] * len(rs)
+    for i, j in itertools.combinations(range(len(rs)), 2):
+        if rs.is_orthogonal(i, j):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def test_coxeter_permutation_orbits_are_pentadecagons(three):
+    for name, rs in three.items():
+        perm = coxeter_permutation(rs)
+        assert sorted(perm) == list(range(len(rs))), name
+        power = list(range(len(rs)))
+        for _ in range(15):
+            power = [perm[x] for x in power]
+        assert power == list(range(len(rs))), name
+        orbits = _orbits(perm)
+        assert {len(o) for o in orbits} == {15}, name  # so w has order 15
+        classes = pentadecagon_classes(coxeter_projection(rs))
+        assert ({frozenset(o) for o in orbits}
+                == {frozenset(members) for *_, members in classes}), name
+
+
+def test_coxeter_permutation_identity_off_invariant_sets(h4):
+    assert coxeter_permutation(RaySet("600cell", h4.vectors[:1])) == (0,)
+    with pytest.raises(ValueError, match="golden ring"):
+        geometry._reflect(gvec(1, 0, 0, 0), gvec(1, 1, 1, 1))
+    halves = RaySet("600cell", (gvec(0, 0, 0, 1), gvec(0, 0, 1, 0),
+                                gvec(0, 1, 0, 0), gvec(1, 0, 0, 0)))
+    assert coxeter_permutation(halves) == (0, 1, 2, 3)
+
+
+def test_transported_graph_matches_all_pairs(three, h4):
+    for rs in (*three.values(), scale_by_alpha(h4)):
+        g = orthogonality_graph(rs)
+        assert g.symmetry != tuple(range(len(rs))), rs.polytope
+        assert g.adjacency == _all_pairs_adjacency(rs), rs.polytope
+
+
+def test_transported_cliques_match_identity(three):
+    for rs in three.values():
+        g = orthogonality_graph(rs)
+        plain = OrthoGraph(g.n, g.adjacency)
+        assert plain.symmetry == tuple(range(g.n))
+        assert (enumerate_bases(g, rs.dimension)
+                == enumerate_bases(plain, rs.dimension)), rs.polytope
+
+
+def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
+    """Transport takes at most a fifth of the 44,850 all-pairs products,
+    the permutation and its simple system included."""
+    calls = 0
+    dot = golden.dot
+
+    def counting(u, v):
+        nonlocal calls
+        calls += 1
+        return dot(u, v)
+
+    monkeypatch.setattr(golden, "dot", counting)
+    assert orthogonality_graph(cell120_rays).n_edges == 4050
+    assert 0 < calls <= 44_850 // 5
+
+
+def test_orthograph_symmetry_must_be_a_permutation():
+    path = (0b10, 0b101, 0b10)  # 0 - 1 - 2
+    assert OrthoGraph(3, path, (2, 1, 0)).n_edges == 2
+    for perm in ((0, 0, 1), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            OrthoGraph(3, path, perm)
+
+
+@st.composite
+def invariant_graphs(draw):
+    """A random permutation and the union of the orbits of random edges
+    under it, so that the permutation preserves the graph."""
+    n = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(n)))
+    adj = [0] * n
+    for x, y in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        start = (x, y)
+        while x != y:
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+            x, y = perm[x], perm[y]
+            if (x, y) == start:
+                break
+    return OrthoGraph(n, tuple(adj), tuple(perm)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariant_graphs())
+def test_transported_cliques_once_each(case):
+    g, d = case
+    got = enumerate_bases(g, d)
+    assert got == sorted(set(got))
+    assert got == enumerate_bases(OrthoGraph(g.n, g.adjacency), d)
+    assert got == [c for c in itertools.combinations(range(g.n), d)
+                   if all(g.adjacency[x] >> y & 1
+                          for x, y in itertools.combinations(c, 2))]
 
 
 # --------------------------------------------------------------------------

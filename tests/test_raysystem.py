@@ -80,6 +80,21 @@ def test_orbit_periodicity(cell120):
                 g, layout, (s + 15) % 15)
 
 
+def test_expand_orbit_matches_shift_ray(polytopes):
+    for layout, gens, *_ in polytopes.values():
+        for g in gens:
+            for s in range(15):
+                assert expand_orbit(g, layout, s) == tuple(
+                    sorted(layout.shift_ray(r, s) for r in g.rays))
+
+
+def test_expand_orbit_rejects_rays_out_of_range(cell600):
+    layout = cell600[0]
+    for rays in ((0, 1, 2, 3), (1, 2, 3, 61)):
+        with pytest.raises(ValueError, match="out of range"):
+            expand_orbit(Generator("z", rays), layout, 1)
+
+
 def test_expand_orbit_shift_range(cell600):
     layout, gens, *_ = cell600
     with pytest.raises(ValueError):
