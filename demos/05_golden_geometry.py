@@ -4,14 +4,16 @@
 Nothing here touches the numbered tables: the 600-cell comes from three
 orbit seeds over the golden ring, E8 from the coordinate map applied to two
 concentric 600-cells, and the 120-cell from the 600-cell's cell centers.
-Bases are recovered as cliques of exact orthogonality graphs, projected
-onto the Coxeter plane, and finally matched ray-for-ray against the
-generator tables by hypergraph isomorphism.
+Bases are recovered as cliques of exact orthogonality graphs, the rays
+fall into the orbits of the Coxeter element, with radii from the
+projection onto the Coxeter plane, and the bases are finally matched
+ray-for-ray against the generator tables by hypergraph isomorphism.
 """
 
 from kspoly import load_polytope
-from kspoly.geometry import (build_120cell_rays, coxeter_projection, e8_rays,
-                             enumerate_bases, icosian_600cell, match_labeling,
+from kspoly.geometry import (build_120cell_rays, coxeter_permutation,
+                             coxeter_projection, e8_rays, enumerate_bases,
+                             icosian_600cell, match_labeling,
                              orthogonality_graph, pentadecagon_classes,
                              rigidity_demo)
 from kspoly.raysystem import build_basis_table
@@ -24,9 +26,11 @@ for name, (build, d) in builders.items():
     rs = build()
     graph = orthogonality_graph(rs)
     bases = enumerate_bases(graph, d)
-    proj = coxeter_projection(rs)
-    rings = pentadecagon_classes(proj)
-    radii = ", ".join(f"{r:.4f}" for r, _, _ in rings)
+    # the rings are the orbits of the Coxeter element w, an exact ray
+    # permutation; the projection gives their radii
+    rings = pentadecagon_classes(coxeter_projection(rs),
+                                 coxeter_permutation(rs))
+    radii = ", ".join(f"{r:.4f}" for r, _ in rings)
     print(f"{name}: {len(rs)} rays, {graph.n_edges} orthogonal pairs, "
           f"{len(bases)} bases of {d}")
     print(f"  projection rings ({len(rings)} pentadecagons): {radii}")

@@ -4,11 +4,12 @@ rendered (gen-bases, weights, geometry project).
 
 Exit codes: 0 success; 2 bad arguments (csv asked of a command that does
 not render it included), word parse error, a non-integer
-KSPOLY_NODE_BUDGET, or a --data file that is missing, unreadable or not a
-valid dataset; 3 internal counting inconsistency; 4 word is not an odd
-nullspace element where one is required; 5 failed geometric claim; 6 a
-search or enumeration ran past its limit (assignment node budget, match
-search budget, enumeration size).
+KSPOLY_NODE_BUDGET, a --data file that is missing, unreadable or not a
+valid dataset, or an --out path that cannot be written; 3 internal
+counting inconsistency; 4 word is not an odd nullspace element where one
+is required; 5 failed geometric claim; 6 a search or enumeration ran past
+its limit (assignment node budget, match search budget, enumeration
+size).
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ class CliError(Exception):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc.strerror or exc}",
+                           EXIT_USAGE)
     else:
         sys.stdout.write(text)
 
@@ -178,6 +183,9 @@ def cmd_word(args) -> int:
         text_lines = [f"{i + 1}\t" + " ".join(map(str, table.bases[i]))
                       for i in indices]
     elif args.action == "symbol":
+        if not word.letters:
+            raise CliError("cannot take the symbol of the empty word",
+                           EXIT_NOT_PROOF)
         sym = raysystem.symbol_from_word(word, gens, layout)
         doc["symbol"] = _symbol_json(sym)
         text_lines = [str(sym)]
@@ -269,14 +277,14 @@ def cmd_geometry(args) -> int:
         failure = "construction counts do not match"
     elif args.check == "project":
         proj = geometry.coxeter_projection(rs)
-        classes = geometry.pentadecagon_classes(proj)
+        perm = geometry.coxeter_permutation(rs)
+        classes = geometry.pentadecagon_classes(proj, perm)
         doc["pentadecagons"] = [
-            {"radius": round(r, 6), "rays": len(m)} for r, _, m in classes]
-        # each class fills the 15 even slots of the 12-degree grid: 15 rays
-        # 24 degrees apart
-        doc["ok"] = ok = all(sorted(geometry.grid_slots(proj, m))
-                             == list(range(0, 30, 2)) for _, _, m in classes)
-        text_lines = [f"{r:.4f}  {len(m)} rays" for r, _, m in classes]
+            {"radius": round(r, 6), "rays": len(m)} for r, m in classes]
+        # w turns each class, fifteen rays 24 degrees apart, by one ray
+        doc["ok"] = ok = (geometry.rotates_by_one_step(proj, perm)
+                          and all(len(m) == 15 for _, m in classes))
+        text_lines = [f"{r:.4f}  {len(m)} rays" for r, m in classes]
         failure = "projection classes malformed"
     elif args.check == "match":
         _, _, table = _load_table(args)

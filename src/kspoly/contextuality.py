@@ -16,8 +16,8 @@ from itertools import islice
 from typing import Mapping, Sequence
 
 from .gf2 import BitMatrix, _support, gf2_nullspace, gf2_rank, span
-from .raysystem import (ORBIT, Basis, BasisTable, Word, parse_word,
-                        ray_index, ray_occurrences, render_word, word_to_bases)
+from .raysystem import (ORBIT, Basis, BasisTable, Word, ray_index,
+                        ray_occurrences, word_to_bases)
 
 NODE_BUDGET_ENV = "KSPOLY_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -333,28 +333,7 @@ def local_indices(p: Proof, sub: Proof) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# JSON interfaces (1-based indices externally)
-
-
-def proof_to_json(p: Proof, word: Word | None = None) -> dict:
-    doc = {"polytope": p.table.layout.polytope,
-           "basis_indices": [i + 1 for i in sorted(p.basis_indices)]}
-    if word is not None:
-        doc["word"] = render_word(word)
-    return doc
-
-
-def proof_from_json(doc: dict, table: BasisTable) -> Proof:
-    if doc["polytope"] != table.layout.polytope:
-        raise ValueError(f"proof file is for {doc['polytope']}, "
-                         f"table is {table.layout.polytope}")
-    if "basis_indices" in doc and doc["basis_indices"]:
-        indices = frozenset(int(i) - 1 for i in doc["basis_indices"])
-    elif "word" in doc:
-        indices = word_to_bases(parse_word(doc["word"]), table)
-    else:
-        raise ValueError("proof file carries neither indices nor a word")
-    return Proof(table, indices)
+# JSON
 
 
 def certificate_to_json(cert: ParityCertificate) -> dict:

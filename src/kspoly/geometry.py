@@ -12,14 +12,17 @@ be validated by hypergraph isomorphism.
 The Coxeter element w, the product of the simple reflections, is computed
 exactly as a permutation of the rays.  It has order 15 and its orbits are
 the projected pentadecagons, so the orthogonality graph is built from one
-ray per orbit, each row carried round its orbit, and the clique walk starts
-only from one ray per orbit.  Only the triacontagonal (Coxeter-plane)
-projection uses floating point; every orthogonality decision is exact.
+ray per orbit, each row carried round its orbit, the clique walk starts
+only from one ray per orbit, and the pentadecagon classes are the orbits.
+Only the triacontagonal (Coxeter-plane) projection uses floating point, for
+the radii, angles and the check that w turns the plane by one step; every
+orthogonality and class decision is exact.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -192,6 +195,24 @@ def _permute(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
+def orbits(perm: Sequence[int]) -> list[list[int]]:
+    """The cycles of a permutation of 0..n-1 in order of their least
+    element, each starting there and following perm."""
+    seen = [False] * len(perm)
+    out = []
+    for r in range(len(perm)):
+        if seen[r]:
+            continue
+        orbit, x = [r], perm[r]
+        while x != r:
+            orbit.append(x)
+            x = perm[x]
+        for x in orbit:
+            seen[x] = True
+        out.append(orbit)
+    return out
+
+
 def _graph(vectors: Sequence[GoldenVector], value: Golden,
            perm: Sequence[int]) -> OrthoGraph:
     """The graph joining two vectors when their inner product is `value`,
@@ -205,26 +226,22 @@ def _graph(vectors: Sequence[GoldenVector], value: Golden,
     """
     n = len(vectors)
     adj = [0] * n
-    pending = list(range(n))  # the vertices whose rows are not yet known
-    unknown = (1 << n) - 1  # the same, as a bitset
+    unknown = (1 << n) - 1  # the vertices whose rows are not yet known
     dot = golden.dot
-    while pending:
-        r = pending.pop(0)
+    for orbit in orbits(perm):
+        r = orbit[0]
         u, row, bit = vectors[r], adj[r], 1 << r
         unknown ^= bit
-        for j in pending:
+        for j in _support(unknown):
             if dot(u, vectors[j]) == value:
                 row |= 1 << j
                 adj[j] |= bit
         adj[r] = row
-        x = perm[r]
-        while x != r:
-            pending.remove(x)
+        for x in orbit[1:]:
             unknown ^= 1 << x
             adj[x] = row = _permute(row, perm)
             for y in _support(row & unknown):
                 adj[y] |= 1 << x
-            x = perm[x]
     return OrthoGraph(n, tuple(adj), tuple(perm))
 
 
@@ -283,20 +300,18 @@ def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
             clique.pop()
 
     rest = (1 << g.n) - 1  # the vertices of this orbit and the later ones
-    for r in range(g.n):
-        if not rest >> r & 1:
-            continue
-        # r is the least vertex of rest, so every clique walked is sorted
+    for orbit in orbits(perm):
+        # its least vertex r is the least of rest, so every clique walked
+        # is sorted
+        r = orbit[0]
         start = len(out)
         extend([r], adj[r] & rest)
-        rest &= ~(1 << r)
         walked = out[start:]
-        x = perm[r]
-        while x != r:
-            rest &= ~(1 << x)
+        for _ in orbit[1:]:
             walked = [tuple(perm[v] for v in q) for q in walked]
             out.extend(tuple(sorted(q)) for q in walked)
-            x = perm[x]
+        for x in orbit:
+            rest ^= 1 << x
     # a clique is reached once per vertex it has in its first orbit
     out.sort()
     return [q for i, q in enumerate(out) if not i or q != out[i - 1]]
@@ -321,7 +336,7 @@ _GRAM_EDGES = {
         (5, 6): (-2, 0), (6, 7): (-2, 0), (1, 3): (-2, 0)},
 }
 COXETER_NUMBER = 30
-CLASS_TOL = 1e-6  # radius and angle tolerance of one projected 15-gon
+STEP_TOL = 1e-6  # radius, and degrees, of one step of w in the projection
 
 
 def _simple_system(rs: RaySet) -> list[GoldenVector]:
@@ -357,6 +372,18 @@ def _simple_system(rs: RaySet) -> list[GoldenVector]:
     return chosen
 
 
+@functools.lru_cache(maxsize=1)
+def _simple_roots(rs: RaySet) -> tuple[GoldenVector, ...]:
+    """The simple system whose product of reflections is w, for both the
+    ray permutation and the projection plane: the 600-cell's for every
+    4-d set, the set's own for an 8-d one.  (The 120-cell is no root
+    system and the a-scaled 600-cell's roots are not of norm 4; both share
+    the 600-cell's symmetry group.)  The last set's system is kept, so a
+    command that needs both finds it once."""
+    return tuple(_simple_system(icosian_600cell() if rs.dimension == 4
+                                else rs))
+
+
 def _reflect(v: GoldenVector, root: GoldenVector) -> GoldenVector:
     """The reflection of v in the hyperplane of a root of squared norm 4,
     computed as 2 s(v) = 2v - (v.root) root and halved exactly; ValueError
@@ -379,13 +406,11 @@ def coxeter_permutation(rs: RaySet) -> tuple[int, ...]:
     """The Coxeter element w (the simple reflections in order) as a
     permutation of the ray indices: ray i goes to the ray of w(v_i).
 
-    A 4-d set uses the 600-cell's simple system, so the 120-cell and the
-    a-scaled 600-cell share the 600-cell's w; an 8-d set uses its own.  On
-    the three polytopes w has order 15 and its orbits are the projected
-    pentadecagons.  A set that w does not map onto itself gets the
-    identity.
+    The simple system is `_simple_roots(rs)`.  On the three polytopes w
+    has order 15 and its orbits are the projected pentadecagons.  A set
+    that w does not map onto itself gets the identity.
     """
-    simple = _simple_system(icosian_600cell() if rs.dimension == 4 else rs)
+    simple = _simple_roots(rs)
     index = {v: i for i, v in enumerate(rs.vectors)}
     perm = []
     for v in rs.vectors:
@@ -405,7 +430,8 @@ def _fdot(u: Sequence[float], v: Sequence[float]) -> float:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _coxeter_plane(rs: RaySet) -> tuple[FloatVector, FloatVector]:
+def _coxeter_plane(roots: Sequence[GoldenVector]
+                   ) -> tuple[FloatVector, FloatVector]:
     """Orthonormal basis of the rotation eigenplane with angle 2*pi/30.
 
     w is the product of the simple reflections (a Coxeter element).  Its
@@ -415,7 +441,7 @@ def _coxeter_plane(rs: RaySet) -> tuple[FloatVector, FloatVector]:
     gives the eigenvector u = p - i*(w p - cos(theta) p)/sin(theta), whose
     phase is fixed so that its first largest component is real and negative.
     """
-    simple = [vec_values(r) for r in _simple_system(rs)]
+    simple = [vec_values(r) for r in roots]
     h, dim = COXETER_NUMBER, len(simple[0])
     cos, sin = math.cos(2 * math.pi / h), math.sin(2 * math.pi / h)
 
@@ -460,11 +486,10 @@ def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
     plane invariant under the order-30 rotation; radii normalised so the
     largest is exactly 1.
 
-    The 120-cell is not a root system, so its rays are projected onto the
-    plane of the 600-cell (both share the same symmetry group).
+    The plane is w's, from the same simple system as
+    `coxeter_permutation`, so w turns it by one step of 2*pi/30.
     """
-    x, y = _coxeter_plane(icosian_600cell() if rs.polytope == "120cell"
-                          else rs)
+    x, y = _coxeter_plane(_simple_roots(rs))
     out = []
     for v in map(vec_values, rs.vectors):
         px, py = _fdot(v, x), _fdot(v, y)
@@ -474,57 +499,35 @@ def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
     return [(r / rmax, a) for r, a in out]
 
 
-def pentadecagon_classes(projection: Sequence[tuple[float, float]]
-                         ) -> list[tuple[float, float, list[int]]]:
-    """(radius, angle residue mod 12 deg, members) per projected 15-gon,
-    outermost first.
+def pentadecagon_classes(projection: Sequence[tuple[float, float]],
+                         perm: Sequence[int]
+                         ) -> list[tuple[float, list[int]]]:
+    """(radius, members) per orbit of the ray permutation w, outermost
+    first; the members start at the orbit's least ray and follow w.
 
-    Rays of one pentadecagon share a radius and an angle residue modulo 12
-    degrees (the residue is representative-independent: antipodes differ by
-    180 = 15 * 12 degrees).  Two pentadecagons may share a radius but then
-    differ in residue, so grouping by both separates them.  Both agree
-    within CLASS_TOL.
+    Membership is exact: a pentadecagon is an orbit of w.  The projection
+    gives only the radius, of the least ray, and with it the order.
     """
-    rings: list[tuple[float, list[int]]] = []
-    for i, (r, _) in enumerate(projection):
-        for rc, members in rings:
-            if abs(rc - r) <= CLASS_TOL:
-                members.append(i)
-                break
-        else:
-            rings.append((r, [i]))
-    out: list[tuple[float, float, list[int]]] = []
-    for radius, members in sorted(rings, key=lambda c: -c[0]):
-        groups: list[tuple[float, list[int]]] = []
-        for i in members:
-            res = projection[i][1] % 12.0
-            for gres, g in groups:
-                delta = abs(res - gres)
-                if min(delta, 12.0 - delta) <= CLASS_TOL:
-                    g.append(i)
-                    break
-            else:
-                groups.append((res, [i]))
-        for res, g in sorted(groups):
-            out.append((radius, res, g))
-    return out
+    return sorted(((projection[o[0]][0], o) for o in orbits(perm)),
+                  key=lambda c: -c[0])
 
 
-def grid_slots(projection: Sequence[tuple[float, float]],
-               members: Sequence[int]) -> list[int]:
-    """Even 12-degree grid slots (0..28) occupied by the members' rays.
+def rotates_by_one_step(projection: Sequence[tuple[float, float]],
+                        perm: Sequence[int]) -> bool:
+    """Whether w keeps every ray's projected radius and turns every angle
+    by one fixed step of +-12 degrees (360/30), mod 180 (a ray's two
+    vectors project 180 degrees apart), all within STEP_TOL.
 
-    A pentadecagon's rays sit 24 degrees apart, i.e. on the fifteen even
-    slots of the 12-degree grid; an antipodal representative lands on an
-    odd slot, 15 steps away, and is folded back.  Fifteen distinct even
-    slots certify the equal 24-degree spacing.
+    Then each orbit of w holds fifteen rays 24 degrees apart as vectors:
+    a regular pentadecagon.
     """
-    base = projection[members[0]][1] % 12.0
-    slots = []
-    for i in members:
-        step = round((projection[i][1] - base) / 12.0) % 30
-        slots.append(step if step % 2 == 0 else (step + 15) % 30)
-    return slots
+    steps = [(projection[j][1] - a) % 180.0
+             for (_, a), j in zip(projection, perm)]
+    step = steps[0]
+    return (min(abs(step - 12.0), abs(step - 168.0)) <= STEP_TOL
+            and all(abs(s - step) <= STEP_TOL for s in steps)
+            and all(abs(projection[j][0] - r) <= STEP_TOL
+                    for (r, _), j in zip(projection, perm)))
 
 
 # --------------------------------------------------------------------------
@@ -712,16 +715,6 @@ def rigidity_demo() -> RigidityReport:
 
 # --------------------------------------------------------------------------
 # exports
-
-
-def rayset_to_json(rs: RaySet) -> dict:
-    """Golden rays as [m, n] pairs; rays with integer entries only (E8)
-    as plain integer vectors, kind "int"."""
-    if all(n == 0 for v in rs.vectors for _, n in v):
-        return {"polytope": rs.polytope, "kind": "int",
-                "rays": [[m for m, _ in v] for v in rs.vectors]}
-    return {"polytope": rs.polytope, "kind": "golden",
-            "rays": [[list(c) for c in v] for v in rs.vectors]}
 
 
 def projection_to_csv(projection: Sequence[tuple[float, float]]) -> str:

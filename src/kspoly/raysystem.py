@@ -218,9 +218,6 @@ class ProfileMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def column_of(self, label: str) -> tuple[int, ...]:
-        return self.column(self.col_labels.index(label))
-
 
 def build_profile_matrix(layout: PentadecagonLayout,
                          generators: Sequence[Generator]) -> ProfileMatrix:
@@ -348,17 +345,6 @@ class RayBasisSymbol:
     def __str__(self) -> str:
         left = " ".join(f"{rays}_{mult}" for mult, rays in self.ray_terms)
         return f"{left}-{self.basis_count}_{self.basis_size}"
-
-
-def parse_symbol(text: str) -> RayBasisSymbol:
-    """Inverse of str(RayBasisSymbol), e.g. '150_2 30_4-105_4'."""
-    left, right = text.rsplit("-", 1)
-    count, size = (int(x) for x in right.split("_"))
-    terms = []
-    for part in left.split():
-        rays, mult = (int(x) for x in part.split("_"))
-        terms.append((mult, rays))
-    return RayBasisSymbol(tuple(sorted(terms)), count, size)
 
 
 def ray_basis_symbol(bases: Iterable[Basis],

@@ -12,10 +12,10 @@ from conftest import NULLSPACE_WORDS_120, PROOFS_120, PROOFS_GOSSET
 from kspoly.contextuality import (classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, local_indices,
                                   proof_from_word, verify_parity_proof)
-from kspoly.geometry import (coxeter_projection, e8_rays, enumerate_bases,
-                             grid_slots, icosian_600cell,
+from kspoly.geometry import (coxeter_permutation, coxeter_projection,
+                             e8_rays, enumerate_bases, icosian_600cell,
                              orthogonality_graph, pentadecagon_classes,
-                             rigidity_demo, saturated)
+                             rigidity_demo, rotates_by_one_step, saturated)
 from kspoly.gf2 import (BitMatrix, dual_weight_distribution,
                         enumerate_code_weights, enumerate_words,
                         gf2_nullspace, is_minimal_word, macwilliams_transform,
@@ -284,27 +284,27 @@ def test_criterion_10_geometry_counts(gosset):
 
 def test_criterion_11_projection(cell600, gosset):
     h4 = icosian_600cell()
-    proj = coxeter_projection(h4)
-    classes = pentadecagon_classes(proj)
+    proj, perm = coxeter_projection(h4), coxeter_permutation(h4)
+    classes = pentadecagon_classes(proj, perm)
     want600 = sorted((p.radius for p in cell600[0].pentadecagons),
                      reverse=True)
     assert len(classes) == 4
-    for (r, _res, members), want in zip(classes, want600):
+    assert rotates_by_one_step(proj, perm)
+    for (r, members), want in zip(classes, want600):
         assert abs(r - want) < 5e-4
         assert len(members) == 15
-        assert len(set(grid_slots(proj, members))) == 15
         residues = [proj[i][1] % 12.0 for i in members]
         spread = max(residues) - min(residues)
         assert min(spread, 12.0 - spread) < 1e-6
     e8 = e8_rays()
-    proj8 = coxeter_projection(e8)
-    classes8 = pentadecagon_classes(proj8)
+    proj8, perm8 = coxeter_projection(e8), coxeter_permutation(e8)
+    classes8 = pentadecagon_classes(proj8, perm8)
     assert len(classes8) == 8
     wantg = sorted((p.radius for p in gosset[0].pentadecagons), reverse=True)
     flagged = None
-    for (r, _res, members), want in zip(classes8, wantg):
+    assert rotates_by_one_step(proj8, perm8)
+    for (r, members), want in zip(classes8, wantg):
         assert len(members) == 15
-        assert len(set(grid_slots(proj8, members))) == 15
         residues = [proj8[i][1] % 12.0 for i in members]
         spread = max(residues) - min(residues)
         assert min(spread, 12.0 - spread) < 1e-6
@@ -313,7 +313,8 @@ def test_criterion_11_projection(cell600, gosset):
             continue
         assert abs(r - want) < 5e-4
     assert flagged is not None
-    ok(11, f"600-cell radii match to 5e-4 with 24-degree spacing; Gosset "
+    ok(11, f"600-cell radii match to 5e-4, w turns each ring by one "
+           f"12-degree step; Gosset "
            f"radii match except the flagged 0.6723 ring, computed as "
            f"{flagged:.4f} (equal to the 600-cell's third ring)")
 

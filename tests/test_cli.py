@@ -71,6 +71,19 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("index,generator")
 
 
+@pytest.mark.parametrize("name", ["missing/out.txt", ""],
+                         ids=["missing-directory", "directory"])
+def test_out_unwritable_exit2(tmp_path, capsys, name):
+    target = tmp_path / name
+    code = main(["geometry", "project", "--polytope", "600cell",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"kspoly: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_data_override(tmp_path, capsys):
     from kspoly.datasets import dataset_to_dict, load_polytope
     layout, gens = load_polytope("600cell")
@@ -343,6 +356,16 @@ def test_word_decompose(capsys):
     assert all(s["symbol"] == "36_2-9_8" for s in nine)
 
 
+@pytest.mark.parametrize("action", ["symbol", "decompose"])
+def test_word_empty_exit4(capsys, action):
+    code = main(["word", "--polytope", "600cell", "", action])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("kspoly: cannot ")
+    assert captured.err.count("\n") == 1
+
+
 def test_word_decompose_non_nullspace_exit4(capsys):
     code, _ = run(capsys, "word", "--polytope", "120cell", "c", "decompose")
     assert code == 4
@@ -426,18 +449,3 @@ def test_geometry_match_budget_exit6(capsys, monkeypatch):
     assert code == 6
     assert captured.out == ""
     assert captured.err == "kspoly: isomorphism search exceeded 1 nodes\n"
-
-
-def test_proof_schema_accepts_interface_docs():
-    doc = {"polytope": "120cell", "word": "c d y",
-           "basis_indices": [31, 32, 33]}
-    jsonschema.validate(doc, schema("proof.schema.json"))
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate({"polytope": "120cell"},
-                            schema("proof.schema.json"))
-
-
-def test_rayset_schema(capsys):
-    from kspoly.geometry import icosian_600cell, rayset_to_json
-    jsonschema.validate(rayset_to_json(icosian_600cell()),
-                        schema("rayset.schema.json"))

@@ -13,8 +13,7 @@ from kspoly.contextuality import (Proof, SearchBudgetExceeded,
                                   certificate_for_bases, certificate_to_json,
                                   classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, is_irreducible,
-                                  local_indices, proof_from_json,
-                                  proof_from_word, proof_to_json,
+                                  local_indices, proof_from_word,
                                   verify_parity_proof)
 from kspoly.raysystem import (ORBIT, Word, parse_word, ray_basis_symbol,
                               ray_index, word_to_bases)
@@ -513,32 +512,7 @@ def test_decomposition_cap(cell120, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# JSON interfaces
-
-
-def test_proof_json_roundtrip(cell120):
-    _, _, table, *_ = cell120
-    w = parse_word("cdy")
-    p = proof_from_word(w, table)
-    doc = proof_to_json(p, w)
-    assert doc["polytope"] == "120cell"
-    assert doc["word"] == "c d y"
-    assert min(doc["basis_indices"]) >= 1
-    back = proof_from_json(doc, table)
-    assert back.basis_indices == p.basis_indices
-
-
-def test_proof_json_from_word_only(cell120):
-    _, _, table, *_ = cell120
-    doc = {"polytope": "120cell", "word": "cdy"}
-    p = proof_from_json(doc, table)
-    assert p.basis_indices == word_to_bases(parse_word("cdy"), table)
-
-
-def test_proof_json_wrong_polytope(cell600):
-    _, _, table, *_ = cell600
-    with pytest.raises(ValueError):
-        proof_from_json({"polytope": "gosset", "basis_indices": [1]}, table)
+# JSON
 
 
 def test_certificate_json(cell600):

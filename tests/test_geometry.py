@@ -15,10 +15,10 @@ from kspoly import geometry, golden
 from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
                              build_120cell_rays, coxeter_permutation,
                              coxeter_projection, e8_rays, enumerate_bases,
-                             grid_slots, icosian_600cell, match_labeling,
+                             icosian_600cell, match_labeling, orbits,
                              orthogonality_graph, pentadecagon_classes,
-                             projection_to_csv, rayset_to_json,
-                             rigidity_demo, saturated, scale_by_alpha)
+                             projection_to_csv, rigidity_demo,
+                             rotates_by_one_step, saturated, scale_by_alpha)
 from kspoly.golden import (ALPHA, BETA, ZERO, canonical_sign, gvec, mul,
                            phi_map, sign, value, vec_neg, vec_scale)
 
@@ -303,21 +303,6 @@ def three(h4, e8, cell120_rays):
     return {"600cell": h4, "120cell": cell120_rays, "gosset": e8}
 
 
-def _orbits(perm):
-    left, out = set(range(len(perm))), []
-    while left:
-        x = start = min(left)
-        orbit = []
-        while True:
-            orbit.append(x)
-            x = perm[x]
-            if x == start:
-                break
-        left -= set(orbit)
-        out.append(orbit)
-    return out
-
-
 def _all_pairs_adjacency(rs):
     """The reference: every pair of rays tested with one exact product."""
     adj = [0] * len(rs)
@@ -328,7 +313,20 @@ def _all_pairs_adjacency(rs):
     return tuple(adj)
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_orbits_partition_and_follow_perm(perm):
+    cycles = orbits(perm)
+    assert sorted(x for c in cycles for x in c) == list(range(len(perm)))
+    assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+    for c in cycles:
+        assert c[0] == min(c)
+        assert [perm[x] for x in c] == c[1:] + c[:1]
+
+
 def test_coxeter_permutation_orbits_are_pentadecagons(three):
+    """w has order 15 on the rays, and it turns the projection by one step
+    of 12 degrees, keeping every radius: its orbits are the pentadecagons."""
     for name, rs in three.items():
         perm = coxeter_permutation(rs)
         assert sorted(perm) == list(range(len(rs))), name
@@ -336,11 +334,19 @@ def test_coxeter_permutation_orbits_are_pentadecagons(three):
         for _ in range(15):
             power = [perm[x] for x in power]
         assert power == list(range(len(rs))), name
-        orbits = _orbits(perm)
-        assert {len(o) for o in orbits} == {15}, name  # so w has order 15
-        classes = pentadecagon_classes(coxeter_projection(rs))
-        assert ({frozenset(o) for o in orbits}
-                == {frozenset(members) for *_, members in classes}), name
+        assert {len(o) for o in orbits(perm)} == {15}, name
+        assert rotates_by_one_step(coxeter_projection(rs), perm), name
+
+
+def test_rotation_check_rejects_a_moved_angle_or_the_identity(h4):
+    proj, perm = coxeter_projection(h4), coxeter_permutation(h4)
+    assert rotates_by_one_step(proj, perm)
+    r, a = proj[7]
+    moved = proj[:7] + [(r, a + 0.01)] + proj[8:]
+    assert not rotates_by_one_step(moved, perm)
+    identity = tuple(range(len(h4)))
+    assert len(pentadecagon_classes(proj, identity)) == 60
+    assert not rotates_by_one_step(proj, identity)
 
 
 def test_coxeter_permutation_identity_off_invariant_sets(h4):
@@ -430,25 +436,25 @@ def test_transported_cliques_once_each(case):
 
 def test_projection_600cell(h4, cell600):
     layout, *_ = cell600
-    proj = coxeter_projection(h4)
-    classes = pentadecagon_classes(proj)
+    proj, perm = coxeter_projection(h4), coxeter_permutation(h4)
+    classes = pentadecagon_classes(proj, perm)
     assert len(classes) == 4
-    radii = [r for r, _, _ in classes]
+    radii = [r for r, _ in classes]
     assert abs(radii[0] - 1.0) < 1e-12
     expected = sorted((p.radius for p in layout.pentadecagons), reverse=True)
     for got, want in zip(radii, expected):
         assert abs(got - want) < 5e-4
-    for _r, _a, members in classes:
+    for _r, members in classes:
         assert len(members) == 15
-        assert len(set(grid_slots(proj, members))) == 15
+    assert rotates_by_one_step(proj, perm)
 
 
 def test_projection_gosset(e8, gosset):
     layout, *_ = gosset
-    proj = coxeter_projection(e8)
-    classes = pentadecagon_classes(proj)
+    proj, perm = coxeter_projection(e8), coxeter_permutation(e8)
+    classes = pentadecagon_classes(proj, perm)
     assert len(classes) == 8
-    radii = [r for r, _, _ in classes]
+    radii = [r for r, _ in classes]
     table_radii = sorted((p.radius for p in layout.pentadecagons),
                          reverse=True)
     for idx, (got, want) in enumerate(zip(radii, table_radii)):
@@ -458,23 +464,24 @@ def test_projection_gosset(e8, gosset):
             assert abs(got - 0.67282) < 5e-4
             continue
         assert abs(got - want) < 5e-4
-    for _r, _a, members in classes:
+    for _r, members in classes:
         assert len(members) == 15
-        assert len(set(grid_slots(proj, members))) == 15
+    assert rotates_by_one_step(proj, perm)
 
 
 def test_projection_120cell(cell120_rays, cell120):
     layout, *_ = cell120
     proj = coxeter_projection(cell120_rays)
-    classes = pentadecagon_classes(proj)
+    perm = coxeter_permutation(cell120_rays)
+    classes = pentadecagon_classes(proj, perm)
     assert len(classes) == 20
-    got = sorted((round(r, 4) for r, _, _ in classes), reverse=True)
+    got = sorted((round(r, 4) for r, _ in classes), reverse=True)
     want = sorted((p.radius for p in layout.pentadecagons), reverse=True)
     for g_, w_ in zip(got, want):
         assert abs(g_ - w_) < 5e-4
-    for _r, _a, members in classes:
+    for _r, members in classes:
         assert len(members) == 15
-        assert len(set(grid_slots(proj, members))) == 15
+    assert rotates_by_one_step(proj, perm)
 
 
 def test_projection_normalised(h4):
@@ -485,7 +492,8 @@ def test_projection_normalised(h4):
 def test_projection_spacing_tolerance(h4):
     """Angle residues within each ring agree to far below a microdegree."""
     proj = coxeter_projection(h4)
-    for _r, residue, members in pentadecagon_classes(proj):
+    for _r, members in pentadecagon_classes(proj, coxeter_permutation(h4)):
+        residue = proj[members[0]][1] % 12.0
         for i in members:
             delta = abs(proj[i][1] % 12.0 - residue)
             assert min(delta, 12.0 - delta) < 1e-6
@@ -504,7 +512,7 @@ def test_projection_csv(h4):
 def test_coxeter_plane_requires_rotation_eigenvalue(h4, monkeypatch):
     """Four mutually orthogonal roots give w = -1, which has no eigenvalue
     at angle 2*pi/30."""
-    monkeypatch.setattr(geometry, "_simple_system",
+    monkeypatch.setattr(geometry, "_simple_roots",
                         lambda rs: [gvec(*(2 * (i == j) for j in range(4)))
                                     for i in range(4)])
     with pytest.raises(RuntimeError, match="no eigenvalue"):
@@ -587,12 +595,3 @@ def test_rigidity_demo_passes():
     assert "v1 not orthogonal to v6" in names
     assert "v2 not orthogonal to v5" in names
 
-
-def test_rayset_json(h4, e8):
-    doc = rayset_to_json(h4)
-    assert doc["kind"] == "golden"
-    assert len(doc["rays"]) == 60
-    assert all(len(v) == 4 and len(v[0]) == 2 for v in doc["rays"])
-    doc8 = rayset_to_json(e8)
-    assert doc8["kind"] == "int"
-    assert all(len(v) == 8 for v in doc8["rays"])
