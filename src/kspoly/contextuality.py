@@ -266,15 +266,17 @@ def incidence_nullspace_proofs(p: Proof) -> Decomposition:
     returns each odd-weight nullspace vector as a sub-proof (p itself
     included when p is a parity proof).  Sorted by basis count, then by
     index set; the first SUBPROOF_CAP found are kept, with a truncation
-    flag when there are more.
+    flag when there are more.  The odd vectors are a coset of the even
+    subcode when some basis vector is odd, 2^(nullity - 1) of them, and
+    there are none otherwise, so the flag is known before the walk.
     """
     order = sorted(p.basis_indices)
     spec = gf2_nullspace(_incidence(p))
+    truncated = (any(v.bit_count() % 2 for v in spec.nullspace_basis)
+                 and 2 ** (spec.k - 1) > SUBPROOF_CAP)
     odd = (v for v in span(spec.nullspace_basis) if v.bit_count() % 2)
     subs = [frozenset(order[j] for j in _support(v))
-            for v in islice(odd, SUBPROOF_CAP + 1)]
-    truncated = len(subs) > SUBPROOF_CAP
-    del subs[SUBPROOF_CAP:]
+            for v in islice(odd, SUBPROOF_CAP)]
     subs.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return Decomposition(tuple(Proof(p.table, s) for s in subs),
                          truncated, spec.k)

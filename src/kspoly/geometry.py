@@ -14,9 +14,12 @@ exactly as a permutation of the rays.  It has order 15 and its orbits are
 the projected pentadecagons, so the orthogonality graph is built from one
 ray per orbit, each row carried round its orbit, the clique walk starts
 only from one ray per orbit, and the pentadecagon classes are the orbits.
-Only the triacontagonal (Coxeter-plane) projection uses floating point, for
-the radii, angles and the check that w turns the plane by one step; every
-orthogonality and class decision is exact.
+The triacontagonal (Coxeter-plane) projection applies w only through the
+same exact reflections: the plane is spanned by the cos/sin-weighted sums of
+w's 30 exact powers of 2e_0.  The only floating point left is those two
+sums and two dot products per ray, for the radii, the angles and the check
+that w turns the plane by one step; every orthogonality and class decision
+is exact.
 """
 
 from __future__ import annotations
@@ -432,62 +435,51 @@ def _fdot(u: Sequence[float], v: Sequence[float]) -> float:
 
 def _coxeter_plane(roots: Sequence[GoldenVector]
                    ) -> tuple[FloatVector, FloatVector]:
-    """Orthonormal basis of the rotation eigenplane with angle 2*pi/30.
+    """Orthonormal basis (x, y) of the plane that w turns by 2*pi/30.
 
-    w is the product of the simple reflections (a Coxeter element).  Its
-    eigenvalues e^(+-i theta), theta = 2*pi/h, span one real plane, onto
-    which P = (2/h) sum_k cos(k theta) w^k projects (the isotypic
-    projector, Serre section 2.6).  The column p of P with the largest norm
-    gives the eigenvector u = p - i*(w p - cos(theta) p)/sin(theta), whose
-    phase is fixed so that its first largest component is real and negative.
+    w is the product of the simple reflections (a Coxeter element) and
+    v_k = w^k(2e_0), k < 30, are its exact powers of a golden vector.  The
+    plane is spanned by the sums p = sum_k cos(k theta) v_k and q = sum_k
+    sin(k theta) v_k, theta = 2*pi/30 (Humphreys, Reflection Groups and
+    Coxeter Groups, 3.16-3.19).  When v_30 = v_0, p is 15 times the
+    isotypic projection of v_0 (Serre section 2.6) and w p = cos(theta) p
+    + sin(theta) q, so p - i*q is an eigenvector for e^(i theta) by
+    construction; v_30 != v_0 or p = 0 raise RuntimeError.  The two sums
+    are the plane's only floating point.  The phase is fixed so that the
+    eigenvector x + i*y has its first largest component real and negative.
     """
-    simple = [vec_values(r) for r in roots]
-    h, dim = COXETER_NUMBER, len(simple[0])
-    cos, sin = math.cos(2 * math.pi / h), math.sin(2 * math.pi / h)
-
-    def w(v: list[float]) -> list[float]:
-        for r in simple:
-            c = 2.0 * _fdot(v, r) / _fdot(r, r)
-            v = [a - c * b for a, b in zip(v, r)]
-        return v
-
-    def column(j: int) -> list[float]:
-        v, col = [float(i == j) for i in range(dim)], [0.0] * dim
-        for k in range(h):
-            c = 2.0 / h * math.cos(2 * math.pi * k / h)
-            col = [a + c * b for a, b in zip(col, v)]
-            v = w(v)
-        return col
-
-    p = max(map(column, range(dim)), key=lambda col: _fdot(col, col))
-    q = [(a - cos * b) / sin for a, b in zip(w(p), p)]  # u = p - i*q
-    norm = math.sqrt(_fdot(p, p) + _fdot(q, q))
-    # w u = e^(i theta) u holds iff w q = cos(theta) q - sin(theta) p
-    if norm < 1e-8 or max(abs(a - cos * c + sin * b)
-                          for a, b, c in zip(w(q), p, q)) > 1e-8 * norm:
+    h = COXETER_NUMBER
+    v0 = v = tuple((2 * (i == 0), 0) for i in range(len(roots[0])))
+    p = q = [0.0] * len(v0)
+    for k in range(h):
+        c, s = math.cos(2 * math.pi * k / h), math.sin(2 * math.pi * k / h)
+        values = vec_values(v)
+        p = [a + c * b for a, b in zip(p, values)]
+        q = [a + s * b for a, b in zip(q, values)]
+        for root in roots:
+            v = _reflect(v, root)
+    norm = math.sqrt(_fdot(p, p))
+    if v != v0 or norm < 1e-8:
         raise RuntimeError("no eigenvalue at rotation angle 2*pi/30; "
                            "degenerate spectrum")
-    u = [complex(a, -b) / norm for a, b in zip(p, q)]
-    sizes = [abs(c) ** 2 for c in u]
+    x0, y0 = [a / norm for a in p], [b / norm for b in q]
+    sizes = [a * a + b * b for a, b in zip(x0, y0)]
     k = next(i for i, s in enumerate(sizes) if s >= max(sizes) - 1e-9)
-    u = [c * -u[k].conjugate() / abs(u[k]) for c in u]
-    nx = math.sqrt(sum(c.real ** 2 for c in u))
-    x = [c.real / nx for c in u]
-    yx = _fdot([c.imag for c in u], x)
-    y = [c.imag - yx * a for c, a in zip(u, x)]
-    ny = math.sqrt(_fdot(y, y))
-    if ny < 1e-12:
-        raise RuntimeError("degenerate eigenplane")
-    return tuple(x), tuple(a / ny for a in y)
+    xk, yk = x0[k], y0[k]
+    nk = math.hypot(xk, yk)
+    return (tuple(-(xk * a + yk * b) / nk for a, b in zip(x0, y0)),
+            tuple((xk * b - yk * a) / nk for a, b in zip(x0, y0)))
 
 
 def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
-    """(radius, angle_deg) of each ray representative in the projection
-    plane invariant under the order-30 rotation; radii normalised so the
-    largest is exactly 1.
+    """(radius, angle_deg) of each ray representative in the Coxeter
+    plane, the plane spanned by the cos/sin-weighted sums of w's 30 exact
+    powers of 2e_0 (`_coxeter_plane`); radii normalised so the largest is
+    exactly 1.
 
-    The plane is w's, from the same simple system as
-    `coxeter_permutation`, so w turns it by one step of 2*pi/30.
+    w is the same as `coxeter_permutation`'s, from the same simple system,
+    so it turns the plane by one step of 2*pi/30.  Each ray costs two float
+    dot products, the only floating point besides the plane's two sums.
     """
     x, y = _coxeter_plane(_simple_roots(rs))
     out = []

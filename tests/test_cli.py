@@ -1,12 +1,17 @@
 """CLI subcommands: formats, exit codes, determinism, schema validity."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kspoly.cli import main
+from kspoly.datasets import dataset_to_dict, load_polytope
 
 
 def schema(name: str) -> dict:
@@ -85,7 +90,6 @@ def test_out_unwritable_exit2(tmp_path, capsys, name):
 
 
 def test_data_override(tmp_path, capsys):
-    from kspoly.datasets import dataset_to_dict, load_polytope
     layout, gens = load_polytope("600cell")
     path = tmp_path / "alt.json"
     path.write_text(json.dumps(dataset_to_dict(layout, gens[:1])))
@@ -96,7 +100,6 @@ def test_data_override(tmp_path, capsys):
 
 
 def _bad_data(tmp_path, edit):
-    from kspoly.datasets import dataset_to_dict, load_polytope
     doc = dataset_to_dict(*load_polytope("600cell"))
     edit(doc)
     path = tmp_path / "bad.json"
@@ -171,6 +174,62 @@ def test_data_not_a_dataset_exit2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith(f"kspoly: {path}: ")
     assert err.count("\n") == 1
+
+
+# one JSON value in place of a dataset field: plausible and implausible
+_FIELD_VALUES = st.one_of(
+    st.integers(-2, 70), st.sampled_from(("a", "a'", "b1", "A", "", "P1")),
+    st.text(max_size=3), st.none(), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _mutated_600cell(draw):
+    """The 600-cell dataset with one field changed: a pentadecagon or
+    generator label, the dimension, a lo or hi, one ray id, or the
+    generator list (dropped, repeated or reordered generators)."""
+    doc = dataset_to_dict(*load_polytope("600cell"))
+    field = draw(st.sampled_from(
+        ("label", "dimension", "lo", "hi", "ray", "generators")))
+    if field == "label":
+        items = doc[draw(st.sampled_from(("pentadecagons", "generators")))]
+        draw(st.sampled_from(items))["label"] = draw(_FIELD_VALUES)
+    elif field == "dimension":
+        doc["dimension"] = draw(_FIELD_VALUES)
+    elif field in ("lo", "hi"):
+        draw(st.sampled_from(doc["pentadecagons"]))[field] = draw(
+            _FIELD_VALUES)
+    elif field == "ray":
+        rays = draw(st.sampled_from(doc["generators"]))["rays"]
+        rays[draw(st.integers(0, len(rays) - 1))] = draw(_FIELD_VALUES)
+    else:
+        doc["generators"] = draw(st.lists(
+            st.sampled_from(doc["generators"]), max_size=7))
+    return doc
+
+
+_FUZZ_COMMANDS = (
+    ["gen-bases"],
+    ["weights", "--odd"],
+    ["word", "a", "verify"],
+    ["word", "a b", "expand"],
+    ["word", "a c d", "symbol"],
+    ["word", "a c d", "minimal"],
+    ["word", "a c d", "decompose"],
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mutated_600cell(), st.sampled_from(_FUZZ_COMMANDS))
+def test_data_fuzz_documented_exits(tmp_path_factory, doc, argv):
+    """A --data file with one mutated field ends in a documented exit
+    code, never an exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "data.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--polytope", "600cell", "--data", str(path)])
+    assert code in (0, 2, 3, 4, 5, 6)
 
 
 # --------------------------------------------------------------------------

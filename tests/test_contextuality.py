@@ -509,6 +509,15 @@ def test_decomposition_cap(cell120, monkeypatch):
     dec = incidence_nullspace_proofs(p)
     assert dec.truncated
     assert len(dec.proofs) == 3
+    # the boundary: cdy has nullity 3 and 2^(3-1) = 4 odd nullspace
+    # vectors, so a cap of 4 keeps them all and a cap of 3 truncates
+    cdy = word_proof(cell120, "cdy")
+    for cap, truncated in ((4, False), (3, True)):
+        monkeypatch.setattr(contextuality, "SUBPROOF_CAP", cap)
+        dec = incidence_nullspace_proofs(cdy)
+        assert dec.nullity == 3
+        assert dec.truncated is truncated
+        assert len(dec.proofs) == min(cap, 4)
 
 
 # --------------------------------------------------------------------------

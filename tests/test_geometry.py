@@ -510,13 +510,16 @@ def test_projection_csv(h4):
 
 
 def test_coxeter_plane_requires_rotation_eigenvalue(h4, monkeypatch):
-    """Four mutually orthogonal roots give w = -1, which has no eigenvalue
-    at angle 2*pi/30."""
-    monkeypatch.setattr(geometry, "_simple_roots",
-                        lambda rs: [gvec(*(2 * (i == j) for j in range(4)))
-                                    for i in range(4)])
-    with pytest.raises(RuntimeError, match="no eigenvalue"):
-        coxeter_projection(h4)
+    """Four mutually orthogonal roots give w = -1: w^30 fixes 2e_0, but w
+    has no eigenvalue at angle 2*pi/30 and the cos-weighted sum is 0.  An
+    A3 chain has Coxeter number 4, so w^30 = w^2 moves 2e_0 and only the
+    exact guard on w's powers catches it."""
+    minus_one = [gvec(*(2 * (i == j) for j in range(4))) for i in range(4)]
+    a3 = [gvec(2, 0, 0, 0), gvec(-1, 1, 1, 1), gvec(0, -2, 0, 0)]
+    for roots in (minus_one, a3):
+        monkeypatch.setattr(geometry, "_simple_roots", lambda _rs, r=roots: r)
+        with pytest.raises(RuntimeError, match="no eigenvalue"):
+            coxeter_projection(h4)
 
 
 # --------------------------------------------------------------------------

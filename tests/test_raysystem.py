@@ -1,9 +1,11 @@
 """Layouts, wraparound orbits, basis tables, profiles, and symbols."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kspoly.raysystem import (Generator, Pentadecagon, PentadecagonLayout,
-                              RayBasisSymbol, basis_profile,
+                              RayBasisSymbol, Word, basis_profile,
                               build_basis_table,
                               expand_orbit, parse_word,
                               ray_basis_symbol, symbol_from_word,
@@ -288,6 +290,19 @@ def test_symbol_consistency_everywhere(polytopes, gosset_words):
             sym = symbol_from_word(w, gens, layout)
             bases = [table.bases[i] for i in word_to_bases(w, table)]
             assert ray_basis_symbol(bases, layout) == sym
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("600cell", "120cell", "gosset")), st.data())
+def test_symbol_from_word_property(polytopes, name, data):
+    """For any non-empty word, the symbol from generator profiles equals
+    the symbol of the bases the word expands to."""
+    layout, gens, table, *_rest = polytopes[name]
+    w = Word(data.draw(st.frozensets(st.sampled_from(
+        [g.label for g in gens]), min_size=1)))
+    bases = [table.bases[i] for i in word_to_bases(w, table)]
+    assert symbol_from_word(w, gens, layout) == ray_basis_symbol(bases,
+                                                                 layout)
 
 
 # --------------------------------------------------------------------------

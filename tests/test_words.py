@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kspoly.raysystem import (Word, compose_words, parse_letter, parse_word,
                               render_word)
@@ -29,6 +31,18 @@ def test_roundtrip_identity():
     for text in ("", "a", "a b e g k r i'", "a1 c1 d1 h1 m1", "b2 z3 b'1"):
         w = parse_word(text)
         assert parse_word(render_word(w)) == w
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("600cell", "120cell", "gosset")), st.data())
+def test_roundtrip_property(polytopes, name, data):
+    """Rendering then parsing gives back any tagged subset of a
+    polytope's generator letters."""
+    _, gens, *_rest = polytopes[name]
+    letters = data.draw(st.frozensets(st.sampled_from(
+        [g.label for g in gens])))
+    w = Word(letters, name)
+    assert parse_word(render_word(w), name) == w
 
 
 def test_empty_word():
