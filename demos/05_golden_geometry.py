@@ -5,9 +5,12 @@ Nothing here touches the numbered tables: the 600-cell comes from three
 orbit seeds over the golden ring, E8 from the coordinate map applied to two
 concentric 600-cells, and the 120-cell from the 600-cell's cell centers.
 Bases are recovered as cliques of exact orthogonality graphs, the rays
-fall into the orbits of the Coxeter element, with radii from the
-projection onto the Coxeter plane, and the bases are finally matched
-ray-for-ray against the generator tables by hypergraph isomorphism.
+fall into the orbits of the Coxeter element w, with radii from the
+projection onto the Coxeter plane, and each ray set is numbered round
+those orbits, fifteen ids per orbit, the way the tables number their
+pentadecagons.  The bases are finally matched ray-for-ray against the
+generator tables by an equivariant match: a bijection that carries bases
+to bases and turns w into the tables' wraparound σ.
 """
 
 from kspoly import load_polytope
@@ -16,7 +19,7 @@ from kspoly.geometry import (build_120cell_rays, coxeter_permutation,
                              icosian_600cell, match_labeling,
                              orthogonality_graph, pentadecagon_classes,
                              rigidity_demo)
-from kspoly.raysystem import build_basis_table
+from kspoly.raysystem import build_basis_table, shift_position
 
 builders = {"600cell": (icosian_600cell, 4),
             "120cell": (build_120cell_rays, 4),
@@ -28,8 +31,8 @@ for name, (build, d) in builders.items():
     bases = enumerate_bases(graph, d)
     # the rings are the orbits of the Coxeter element w, an exact ray
     # permutation; the projection gives their radii
-    rings = pentadecagon_classes(coxeter_projection(rs),
-                                 coxeter_permutation(rs))
+    perm = coxeter_permutation(rs)
+    rings = pentadecagon_classes(coxeter_projection(rs), perm)
     radii = ", ".join(f"{r:.4f}" for r, _ in rings)
     print(f"{name}: {len(rs)} rays, {graph.n_edges} orthogonal pairs, "
           f"{len(bases)} bases of {d}")
@@ -37,8 +40,11 @@ for name, (build, d) in builders.items():
     layout, gens = load_polytope(name)
     table = build_basis_table(layout, gens)
     mapping = match_labeling(bases, table)
-    print(f"  hypergraph match against the generator table: "
-          f"{len(mapping)} rays mapped")
+    turns = all(mapping[perm[x]] - 1 == shift_position(mapping[x] - 1, 1)
+                for x in mapping)
+    print(f"  equivariant match against the generator table: "
+          f"{len(mapping)} rays mapped, w carried onto the wraparound: "
+          f"{turns}")
     print()
 
 print("why the orthogonality relations do not pin the 600-cell down:")

@@ -12,12 +12,11 @@ from .raysystem import (Basis, BasisTable, Generator, PentadecagonLayout,
                         word_to_bases)
 from .gf2 import (BitMatrix, CodeSpec, WeightDistribution,
                   dual_weight_distribution, enumerate_words, gf2_nullspace,
-                  gf2_rank, is_minimal_word, macwilliams_transform,
-                  minimality_bound, nullspace_of_profiles, odd_weight_total)
+                  is_minimal_word, macwilliams_transform, minimality_bound,
+                  nullspace_of_profiles, odd_weight_total)
 from .contextuality import (ParityCertificate, Proof, find_ks_assignment,
-                            incidence_nullspace_proofs, is_irreducible,
-                            classify_decomposition, proof_from_word,
-                            verify_parity_proof)
+                            incidence_nullspace_proofs, classify_decomposition,
+                            proof_from_word, verify_parity_proof)
 from .geometry import (RaySet, build_120cell_rays, coxeter_projection,
                        e8_rays, enumerate_bases, icosian_600cell,
                        match_labeling, orthogonality_graph, rigidity_demo,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping, Sequence
 
-from .gf2 import BitMatrix, _support, gf2_nullspace, gf2_rank, span
+from .gf2 import BitMatrix, _support, gf2_nullspace, span
 from .raysystem import (ORBIT, Basis, BasisTable, Word, ray_index,
-                        ray_occurrences, word_to_bases)
+                        ray_occurrences, shift_position, word_to_bases)
 
 NODE_BUDGET_ENV = "KSPOLY_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -128,8 +128,7 @@ def find_ks_assignment(bases: Sequence[Basis],
 
     def orbit(p: int) -> list[int]:
         """σ^j p for j = 0, step, 2 step, ... below ORBIT."""
-        start = p - p % ORBIT
-        return [start + (p + j) % ORBIT for j in range(0, ORBIT, step)]
+        return [shift_position(p, j) for j in range(0, ORBIT, step)]
 
     def set_one(p: int, one: int, zero: int,
                 free: list[int]) -> tuple[int, int] | None:
@@ -280,19 +279,6 @@ def incidence_nullspace_proofs(p: Proof) -> Decomposition:
     subs.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return Decomposition(tuple(Proof(p.table, s) for s in subs),
                          truncated, spec.k)
-
-
-def is_irreducible(p: Proof) -> bool:
-    """True iff p contains no embedded parity proof other than itself.
-
-    When p is a parity proof, its all-ones vector is an odd vector of the
-    incidence nullspace, and the odd vectors are all-ones plus the even
-    subcode: 2^(nullity - 1) of them.  So p is irreducible iff it is a
-    parity proof of incidence nullity 1.  One rank, no enumeration.
-    """
-    m = _incidence(p)
-    return (verify_parity_proof(p).valid
-            and m.n_cols - gf2_rank(m) == 1)
 
 
 def classify_decomposition(p: Proof, subs: Sequence[Proof]) -> str:

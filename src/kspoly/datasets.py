@@ -72,20 +72,6 @@ def dataset_from_dict(doc: dict) -> tuple[PentadecagonLayout, tuple[Generator, .
     return layout, generators
 
 
-def dataset_to_dict(layout: PentadecagonLayout,
-                    generators: tuple[Generator, ...]) -> dict:
-    return {
-        "polytope": layout.polytope,
-        "dimension": layout.dimension,
-        "pentadecagons": [
-            {"label": p.label, "lo": p.lo, "hi": p.hi,
-             "radius": p.radius, "angle_deg": p.angle_deg}
-            for p in layout.pentadecagons],
-        "generators": [{"label": g.label, "rays": list(g.rays)}
-                       for g in generators],
-    }
-
-
 def data_text(name: str) -> str:
     return resources.files("kspoly.data").joinpath(name).read_text()
 

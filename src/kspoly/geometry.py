@@ -6,14 +6,17 @@ sign changes; doubling it by the a-scaling and applying the coordinate map
 (m + n*a) -> (m, n) yields the 240 roots of E8 (Gosset's polytope).  The
 120-cell is derived as the 600-cell's cell centers, with no coordinate
 file.  Bases are recovered with no reference to the numbered tables, as
-d-cliques of the exact orthogonality graph, so the combinatorial tables can
-be validated by hypergraph isomorphism.
+d-cliques of the exact orthogonality graph.
 
 The Coxeter element w, the product of the simple reflections, is computed
 exactly as a permutation of the rays.  It has order 15 and its orbits are
 the projected pentadecagons, so the orthogonality graph is built from one
 ray per orbit, each row carried round its orbit, the clique walk starts
 only from one ray per orbit, and the pentadecagon classes are the orbits.
+Each ray set is numbered round w's orbits, fifteen ids per orbit, the way
+the tables number their pentadecagons, so w is the tables' wraparound σ
+on the ids.  A table is then validated by an equivariant match: a ray
+bijection that carries bases to bases and turns w into σ.
 The triacontagonal (Coxeter-plane) projection applies w only through the
 same exact reflections: the plane is spanned by the cos/sin-weighted sums of
 w's 30 exact powers of 2e_0.  The only floating point left is those two
@@ -25,11 +28,9 @@ is exact.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,7 +38,7 @@ from . import golden
 from .gf2 import EnumerationLimitError, _support
 from .golden import (ALPHA, BETA, ZERO, Golden, GoldenVector, canonical_sign,
                      gvec, phi_map, vec_neg, vec_scale, vec_values)
-from .raysystem import Basis, BasisTable, ray_index
+from .raysystem import ORBIT, Basis, BasisTable, ray_index, shift_position
 
 FloatVector = tuple[float, ...]
 
@@ -94,7 +95,8 @@ _H4_ORBIT_SIZES = (8, 16, 96)
 
 
 def icosian_600cell() -> RaySet:
-    """The 60 rays of the 600-cell, exactly, on a sphere of radius 2."""
+    """The 60 rays of the 600-cell, exactly, on a sphere of radius 2,
+    numbered round w (`_numbered`)."""
     ops = signed_permutation_group()
     vectors: set[GoldenVector] = set()
     for seed, expect in zip(_H4_SEEDS, _H4_ORBIT_SIZES):
@@ -106,10 +108,10 @@ def icosian_600cell() -> RaySet:
         vectors |= orbit
     if len(vectors) != 120:
         raise RuntimeError(f"expected 120 vertices, got {len(vectors)}")
-    rays = sorted({canonical_sign(v) for v in vectors})
+    rays = {canonical_sign(v) for v in vectors}
     if len(rays) != 60:
         raise RuntimeError("antipodal merge did not yield 60 rays")
-    return RaySet("600cell", tuple(rays))
+    return _numbered("600cell", rays)
 
 
 def scale_by_alpha(rs: RaySet) -> RaySet:
@@ -120,7 +122,8 @@ def scale_by_alpha(rs: RaySet) -> RaySet:
 
 def e8_rays() -> RaySet:
     """The 120 rays (240 roots) of E8 as the coordinate-map image of the
-    two concentric 600-cells, as golden vectors with integer entries."""
+    two concentric 600-cells, as golden vectors with integer entries,
+    numbered round w (`_numbered`)."""
     h4a = icosian_600cell()
     h4b = scale_by_alpha(h4a)
     images = {canonical_sign(gvec(*phi_map(v)))
@@ -130,7 +133,7 @@ def e8_rays() -> RaySet:
     for w in images:
         if golden.dot(w, w) != (4, 0):
             raise RuntimeError(f"root {w} has squared norm != 4")
-    return RaySet("gosset", tuple(sorted(images)))
+    return _numbered("gosset", images)
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +146,7 @@ def build_120cell_rays() -> RaySet:
     The 600 tetrahedral cells are the 4-cliques of the nearest-neighbour
     graph (vertex inner product 2*phi = 2 - 2a at radius 2); each center is
     the exact golden sum of its four vertices, which leaves the rays in the
-    icosian frame of the 600-cell.
+    icosian frame of the 600-cell.  They are numbered round w (`_numbered`).
     """
     h4 = icosian_600cell()
     verts = [v for u in h4.vectors for v in (u, vec_neg(u))]
@@ -156,7 +159,7 @@ def build_120cell_rays() -> RaySet:
         for t in range(4))) for cell in cells}
     if len(centers) != 300:
         raise RuntimeError("cell centers did not merge to 300 rays")
-    return RaySet("120cell", tuple(sorted(centers)))
+    return _numbered("120cell", centers)
 
 
 # --------------------------------------------------------------------------
@@ -330,61 +333,23 @@ def saturated(g: OrthoGraph, bases: Iterable[tuple[int, ...]]) -> bool:
 # (Coxeter-plane) projection
 
 
-# simple-system Gram matrices at root norm 4, by dimension (H4, E8):
-# off-diagonal entries are -4*cos(pi/m) for diagram edges with mark m,
-# zero for non-edges.  -4*cos(pi/5) = -2*phi = -2 + 2a exactly.
-_GRAM_EDGES = {
-    4: {(0, 1): (-2, 2), (1, 2): (-2, 0), (2, 3): (-2, 0)},
-    8: {(0, 2): (-2, 0), (2, 3): (-2, 0), (3, 4): (-2, 0), (4, 5): (-2, 0),
-        (5, 6): (-2, 0), (6, 7): (-2, 0), (1, 3): (-2, 0)},
+# simple systems at root norm 4, by dimension, whose reflections in order
+# multiply to w: the 600-cell's (H4) serves every 4-d set, since the
+# 120-cell is no root system and the a-scaled 600-cell's roots are not of
+# norm 4, and all three share the 600-cell's symmetry group; E8's is
+# Gosset's own.  Any realisation of the Coxeter diagram would do, since all
+# Coxeter elements are conjugate; these fix w, and with it the plane's
+# phase and every projected angle.  (0, -1) is -a and (-1, 1) is -b.
+_SIMPLE_ROOTS = {
+    4: (gvec((0, -1), -1, 0, (-1, 1)), gvec((0, -1), 1, 0, BETA),
+        gvec((-1, 1), 0, 1, ALPHA), gvec(0, 0, -2, 0)),
+    8: (gvec(0, 0, 0, 0, 0, 0, 0, 2), gvec(0, 0, 0, 0, 0, 0, 2, 0),
+        gvec(0, 0, 1, -1, 0, -1, 0, -1), gvec(0, 0, -1, 1, 1, 0, -1, 0),
+        gvec(0, 0, 0, 0, -2, 0, 0, 0), gvec(0, -1, 1, 0, 1, 1, 0, 0),
+        gvec(0, 2, 0, 0, 0, 0, 0, 0), gvec(1, -1, -1, -1, 0, 0, 0, 0)),
 }
 COXETER_NUMBER = 30
 STEP_TOL = 1e-6  # radius, and degrees, of one step of w in the projection
-
-
-def _simple_system(rs: RaySet) -> list[GoldenVector]:
-    """Roots realising the polytope's Coxeter diagram, by backtracking.
-
-    Works on the full signed root list with exact inner products; any
-    realisation serves, since all Coxeter elements are conjugate.
-    """
-    rank = rs.dimension
-    edges = _GRAM_EDGES[rank]
-    roots = [v for u in rs.vectors for v in (u, vec_neg(u))]
-
-    chosen: list[GoldenVector] = []
-
-    def extend() -> bool:
-        i = len(chosen)
-        if i == rank:
-            return True
-        for cand in roots:
-            if all(golden.dot(cand, chosen[j]) == edges.get((j, i), ZERO)
-                   for j in range(i)):
-                chosen.append(cand)
-                if extend():
-                    return True
-                chosen.pop()
-        return False
-
-    for first in roots:
-        if golden.dot(first, first) != (4, 0):
-            raise RuntimeError("root of unexpected norm in the ray set")
-    if not extend():
-        raise RuntimeError("no simple system realises the Coxeter diagram")
-    return chosen
-
-
-@functools.lru_cache(maxsize=1)
-def _simple_roots(rs: RaySet) -> tuple[GoldenVector, ...]:
-    """The simple system whose product of reflections is w, for both the
-    ray permutation and the projection plane: the 600-cell's for every
-    4-d set, the set's own for an 8-d one.  (The 120-cell is no root
-    system and the a-scaled 600-cell's roots are not of norm 4; both share
-    the 600-cell's symmetry group.)  The last set's system is kept, so a
-    command that needs both finds it once."""
-    return tuple(_simple_system(icosian_600cell() if rs.dimension == 4
-                                else rs))
 
 
 def _reflect(v: GoldenVector, root: GoldenVector) -> GoldenVector:
@@ -409,11 +374,13 @@ def coxeter_permutation(rs: RaySet) -> tuple[int, ...]:
     """The Coxeter element w (the simple reflections in order) as a
     permutation of the ray indices: ray i goes to the ray of w(v_i).
 
-    The simple system is `_simple_roots(rs)`.  On the three polytopes w
-    has order 15 and its orbits are the projected pentadecagons.  A set
-    that w does not map onto itself gets the identity.
+    The simple system is `_SIMPLE_ROOTS` of the set's dimension.  On the
+    three polytopes w has order 15, its orbits are the projected
+    pentadecagons, and the constructors number the rays round them, so w
+    is the block shift i -> i - i mod 15 + (i + 1) mod 15.  A set that w
+    does not map onto itself gets the identity.
     """
-    simple = _simple_roots(rs)
+    simple = _SIMPLE_ROOTS[rs.dimension]
     index = {v: i for i, v in enumerate(rs.vectors)}
     perm = []
     for v in rs.vectors:
@@ -427,6 +394,16 @@ def coxeter_permutation(rs: RaySet) -> tuple[int, ...]:
             return tuple(range(len(rs)))
         perm.append(j)
     return tuple(perm)
+
+
+def _numbered(polytope: str, rays: Iterable[GoldenVector]) -> RaySet:
+    """The rays numbered round the orbits of w, as the tables number their
+    pentadecagons: the orbits in order of their least ray (the rays
+    sorted), each starting there and following w."""
+    rs = RaySet(polytope, tuple(sorted(rays)))
+    return RaySet(polytope, tuple(rs.vectors[x] for orbit
+                                  in orbits(coxeter_permutation(rs))
+                                  for x in orbit))
 
 
 def _fdot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -481,7 +458,7 @@ def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
     so it turns the plane by one step of 2*pi/30.  Each ray costs two float
     dot products, the only floating point besides the plane's two sums.
     """
-    x, y = _coxeter_plane(_simple_roots(rs))
+    x, y = _coxeter_plane(_SIMPLE_ROOTS[rs.dimension])
     out = []
     for v in map(vec_values, rs.vectors):
         px, py = _fdot(v, x), _fdot(v, y)
@@ -523,7 +500,7 @@ def rotates_by_one_step(projection: Sequence[tuple[float, float]],
 
 
 # --------------------------------------------------------------------------
-# hypergraph matching against the numbered tables
+# equivariant matching against the numbered tables
 
 
 class MatchError(RuntimeError):
@@ -533,88 +510,80 @@ class MatchError(RuntimeError):
 MATCH_BUDGET = 200_000  # the most nodes of one match's search
 
 
-def _refine(nbrs_a: Sequence[tuple[int, ...]],
-            nbrs_b: Sequence[tuple[int, ...]],
-            colors_a: list[int], colors_b: list[int]) -> bool:
-    """Joint Weisfeiler-Lehman color refinement over neighbour tuples;
-    False when the color class sizes of the two graphs diverge (no
-    isomorphism possible)."""
-    while True:
-        sig_ids: dict[tuple, int] = {}
-        new_a = [sig_ids.setdefault(
-                     (c, tuple(sorted(map(colors_a.__getitem__, ns)))),
-                     len(sig_ids))
-                 for c, ns in zip(colors_a, nbrs_a)]
-        new_b = []
-        for c, ns in zip(colors_b, nbrs_b):
-            s = (c, tuple(sorted(map(colors_b.__getitem__, ns))))
-            if s not in sig_ids:
-                return False
-            new_b.append(sig_ids[s])
-        if Counter(new_a) != Counter(new_b):
-            return False
-        stable = new_a == colors_a and new_b == colors_b
-        colors_a[:], colors_b[:] = new_a, new_b
-        if stable:
-            return True
+def _equivariant_search(adj_a: Sequence[int], adj_b: Sequence[int]
+                        ) -> list[int] | None:
+    """A vertex bijection phi carrying graph a onto graph b, as far as one
+    vertex per block checks it, with phi(σx) = σ^j phi(x) for the first
+    unit j mod 15 that admits one; None when no j does.
 
-
-def _iso_search(adj_a: Sequence[int], adj_b: Sequence[int]
-                ) -> list[int] | None:
-    """A vertex bijection carrying graph a onto graph b, or None.
-
-    Depth first: a node refines its coloring pair, then individualizes
-    the first vertex of a's smallest non-singleton class against each
-    vertex of that class in b, in order.  The search is an explicit stack
-    of child iterators, so its depth is not bounded by the recursion
-    limit; more than MATCH_BUDGET nodes raise EnumerationLimitError."""
-    nbrs_a = [_support(m) for m in adj_a]
-    nbrs_b = [_support(m) for m in adj_b]
-
-    def children(ca: list[int], cb: list[int]):
-        classes: dict[int, list[int]] = {}
-        for i, c in enumerate(ca):
-            classes.setdefault(c, []).append(i)
-        _, color = min((len(v), c) for c, v in classes.items() if len(v) > 1)
-        v = classes[color][0]
-        next_color = max(ca) + len(ca) + 1
-        for u in range(len(cb)):
-            if cb[u] == color:
-                ca2, cb2 = list(ca), list(cb)
-                ca2[v] = cb2[u] = next_color
-                yield ca2, cb2
-
+    The vertices fall in blocks of fifteen, and σ (`shift_position`) turns
+    each block by one.  Equivariance fixes phi on a block once its first
+    vertex is placed: a target block and an offset in it.  The first block
+    placed takes offset 0, since σ maps a table's graph onto itself; then
+    comes, each time, the block with the most edges to the blocks placed
+    (the first such).  A placement checks only its block's first vertex against the
+    vertices placed, its own block's included: σ carries that check round
+    the block.  The search is an explicit stack of placements, so its
+    depth is not bounded by the recursion limit; more than MATCH_BUDGET
+    placements raise EnumerationLimitError.
+    """
+    n = len(adj_a)
+    if not n:
+        return []
+    full = (1 << ORBIT) - 1
+    order: list[int] = []  # block starts, in placement order
+    placed, left = 0, list(range(0, n, ORBIT))
+    while left:
+        a0 = max(left, key=lambda s: sum((adj_a[x] & placed).bit_count()
+                                         for x in range(s, s + ORBIT)))
+        left.remove(a0)
+        order.append(a0)
+        placed |= full << a0
+    targets = [(b0, o) for b0 in range(0, n, ORBIT) for o in range(ORBIT)]
     nodes = 0
-    stack = [iter([([0] * len(adj_a), [0] * len(adj_b))])]
-    while stack:
-        for ca, cb in stack[-1]:
-            nodes += 1
-            if nodes > MATCH_BUDGET:
-                raise EnumerationLimitError(
-                    f"isomorphism search exceeded {MATCH_BUDGET} nodes")
-            if not _refine(nbrs_a, nbrs_b, ca, cb):
-                continue
-            if len(set(ca)) < len(ca):
-                stack.append(children(ca, cb))
-                break
-            pos_b = {c: i for i, c in enumerate(cb)}
-            mapping = [pos_b[c] for c in ca]
-            if all(sum(1 << mapping[j] for j in ns) == adj_b[mapping[i]]
-                   for i, ns in enumerate(nbrs_a)):
-                return mapping
-        else:
-            stack.pop()
+    for j in (k for k in range(1, ORBIT) if math.gcd(k, ORBIT) == 1):
+        phi = [0] * n  # read only at placed vertices
+        # per level: its untried placements, and the vertices of a and of b
+        # placed above it
+        stack = [(iter(targets[::ORBIT]), 0, 0)]
+        while stack:
+            tries, pa, pb = stack[-1]
+            a0 = order[len(stack) - 1]
+            for b0, o in tries:
+                if pb >> b0 & 1:
+                    continue
+                nodes += 1
+                if nodes > MATCH_BUDGET:
+                    raise EnumerationLimitError(
+                        f"isomorphism search exceeded {MATCH_BUDGET} nodes")
+                for t in range(ORBIT):
+                    phi[a0 + t] = shift_position(b0 + o, j * t)
+                pa2, pb2 = pa | full << a0, pb | full << b0
+                if _permute(adj_a[a0] & pa2, phi) == adj_b[b0 + o] & pb2:
+                    if len(stack) == len(order):
+                        return phi
+                    stack.append((iter(targets), pa2, pb2))
+                    break
+            else:
+                stack.pop()
     return None
 
 
 def match_labeling(computed: Sequence[Basis],
                    reference: BasisTable) -> dict[int, int]:
-    """A ray bijection carrying the computed basis hypergraph onto the
-    reference table, found by color refinement plus individualization.
+    """A ray bijection phi carrying the computed basis hypergraph onto the
+    reference table and the block shift σ of the computed rays onto a
+    power of the table's wraparound: phi(σx) = σ^j phi(x).
+
+    Each side's rays (the ones that occur, sorted) are numbered in blocks
+    of fifteen.  The constructed ray sets are numbered round the Coxeter
+    element w, so σ is w there, and j = 1 on all three polytopes says that
+    the wraparound is w.  The search is `_equivariant_search` on the two
+    basis co-occurrence graphs; bases must then map to bases.
 
     Returns {computed ray id -> reference ray id}; raises MatchError when
-    counts differ or no bijection exists, and EnumerationLimitError when
-    the search runs past MATCH_BUDGET nodes.
+    counts differ or no such bijection exists, and EnumerationLimitError
+    when the search runs past MATCH_BUDGET nodes.
     """
     ref_bases = list(reference.bases)
     if len(computed) != len(ref_bases):
@@ -624,7 +593,9 @@ def match_labeling(computed: Sequence[Basis],
     ids_b, gb = graph_from_bases(ref_bases)
     if ga.n != gb.n:
         raise MatchError(f"ray counts differ: {ga.n} vs {gb.n}")
-    mapping = _iso_search(ga.adjacency, gb.adjacency)
+    mapping = None
+    if ga.n % ORBIT == 0:
+        mapping = _equivariant_search(ga.adjacency, gb.adjacency)
     if mapping is None:
         raise MatchError("no ray bijection maps the computed bases onto "
                          "the reference table")

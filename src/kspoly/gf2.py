@@ -94,11 +94,6 @@ def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return [low.bit_length() - 1 for low in lows], reduced
 
 
-def gf2_rank(m: BitMatrix) -> int:
-    pivots, _ = _eliminate(m.rows)
-    return len(pivots)
-
-
 @dataclass(frozen=True)
 class CodeSpec:
     """A binary linear code given by a basis of the nullspace {X: MX=0}."""

@@ -116,6 +116,12 @@ def check_generators(layout: PentadecagonLayout,
             layout.pentadecagon_of(r)
 
 
+def shift_position(p: int, k: int) -> int:
+    """σ^k on a 0-based ray position, σ the wraparound: p moves k steps
+    round its block of fifteen positions (0-14, 15-29, ...)."""
+    return p - p % ORBIT + (p + k) % ORBIT
+
+
 def expand_orbit(gen: Generator, layout: PentadecagonLayout,
                  shift: int) -> Basis:
     """Shift every ray of the generator by `shift` with wraparound.

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kspoly.cli import main
-from kspoly.datasets import dataset_to_dict, load_polytope
+from kspoly.datasets import data_text
 
 
 def schema(name: str) -> dict:
@@ -90,9 +90,10 @@ def test_out_unwritable_exit2(tmp_path, capsys, name):
 
 
 def test_data_override(tmp_path, capsys):
-    layout, gens = load_polytope("600cell")
+    doc = json.loads(data_text("600cell.json"))
+    doc["generators"] = doc["generators"][:1]
     path = tmp_path / "alt.json"
-    path.write_text(json.dumps(dataset_to_dict(layout, gens[:1])))
+    path.write_text(json.dumps(doc))
     code, out = run(capsys, "gen-bases", "--polytope", "600cell",
                     "--data", str(path))
     assert code == 0
@@ -100,7 +101,7 @@ def test_data_override(tmp_path, capsys):
 
 
 def _bad_data(tmp_path, edit):
-    doc = dataset_to_dict(*load_polytope("600cell"))
+    doc = json.loads(data_text("600cell.json"))
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -188,7 +189,7 @@ def _mutated_600cell(draw):
     """The 600-cell dataset with one field changed: a pentadecagon or
     generator label, the dimension, a lo or hi, one ray id, or the
     generator list (dropped, repeated or reordered generators)."""
-    doc = dataset_to_dict(*load_polytope("600cell"))
+    doc = json.loads(data_text("600cell.json"))
     field = draw(st.sampled_from(
         ("label", "dimension", "lo", "hi", "ray", "generators")))
     if field == "label":
@@ -216,6 +217,8 @@ _FUZZ_COMMANDS = (
     ["word", "a c d", "symbol"],
     ["word", "a c d", "minimal"],
     ["word", "a c d", "decompose"],
+    ["word", "a", "verify", "--check-assignment"],
+    ["geometry", "match"],
 )
 
 

@@ -12,9 +12,8 @@ from kspoly import contextuality
 from kspoly.contextuality import (Proof, SearchBudgetExceeded,
                                   certificate_for_bases, certificate_to_json,
                                   classify_decomposition, find_ks_assignment,
-                                  incidence_nullspace_proofs, is_irreducible,
-                                  local_indices, proof_from_word,
-                                  verify_parity_proof)
+                                  incidence_nullspace_proofs, local_indices,
+                                  proof_from_word, verify_parity_proof)
 from kspoly.raysystem import (ORBIT, Word, parse_word, ray_basis_symbol,
                               ray_index, word_to_bases)
 
@@ -425,34 +424,15 @@ def test_gosset_smallest_proofs_have_nine_bases(gosset):
 
 
 def test_irreducibility_fixtures(cell120, gosset):
-    for text, _sym, kind in PROOFS_120:
-        p = word_proof(cell120, text)
-        assert is_irreducible(p) == (kind == "irreducible"), text
-    for text, _sym in PROOFS_GOSSET:
-        assert is_irreducible(word_proof(gosset, text)), text
-
-
-def test_irreducibility_walks_nothing(cell600, cell120, monkeypatch):
-    """is_irreducible agrees with the walked decomposition, on proofs and
-    on non-proofs, with the span walk switched off."""
-    proofs = [word_proof(cell120, text) for text, *_ in PROOFS_120]
-    a = word_proof(cell600, "a")
-    two_of_c = set(sorted(word_proof(cell600, "c").basis_indices)[:2])
-    # the last: seventeen bases, incidence nullity 1, not a parity proof
-    proofs += [a, word_proof(cell600, "c"), word_proof(cell600, "a b"),
-               Proof(a.table, a.basis_indices | two_of_c)]
-    walked = []
-    for p in proofs:
-        dec = incidence_nullspace_proofs(p)
-        walked.append([s.basis_indices for s in dec.proofs]
-                      == [p.basis_indices])
-
-    def no_walk(basis):
-        raise AssertionError("is_irreducible walked a span")
-
-    monkeypatch.setattr(contextuality, "span", no_walk)
-    assert [is_irreducible(p) for p in proofs] == walked
-    assert walked[-4:] == [True, False, False, False]
+    """A published proof is irreducible iff its walked decomposition holds
+    no proof but itself."""
+    for fixture, text, irreducible in (
+            *((cell120, text, kind == "irreducible")
+              for text, _sym, kind in PROOFS_120),
+            *((gosset, text, True) for text, _sym in PROOFS_GOSSET)):
+        p = word_proof(fixture, text)
+        subs = [s.basis_indices for s in incidence_nullspace_proofs(p).proofs]
+        assert (subs == [p.basis_indices]) == irreducible, text
 
 
 def test_table8_decomposition_structure(cell120):

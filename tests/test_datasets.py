@@ -6,8 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from kspoly.datasets import (data_text, dataset_from_dict, dataset_to_dict,
-                             expected_counts, load_polytope)
+from kspoly.datasets import data_text, expected_counts, load_polytope
 from kspoly.gf2 import in_nullspace, profile_matrix_mod2, word_to_vector
 from kspoly.raysystem import basis_profile, parse_word
 
@@ -49,18 +48,10 @@ def test_expected_counts(polytopes):
         assert len(table.bases) == n_bases
 
 
-def test_roundtrip_dict(cell600):
-    layout, gens, *_ = cell600
-    doc = dataset_to_dict(layout, gens)
-    layout2, gens2 = dataset_from_dict(doc)
-    assert layout2 == layout
-    assert gens2 == gens
-
-
 def test_load_external_path(tmp_path, cell600):
     layout, gens, *_ = cell600
     path = tmp_path / "custom.json"
-    path.write_text(json.dumps(dataset_to_dict(layout, gens)))
+    path.write_text(data_text("600cell.json"))
     layout2, gens2 = load_polytope("600cell", path)
     assert layout2 == layout and gens2 == gens
 

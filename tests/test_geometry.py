@@ -21,6 +21,7 @@ from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
                              rotates_by_one_step, saturated, scale_by_alpha)
 from kspoly.golden import (ALPHA, BETA, ZERO, canonical_sign, gvec, mul,
                            phi_map, sign, value, vec_neg, vec_scale)
+from kspoly.raysystem import shift_position
 
 
 @pytest.fixture(scope="module")
@@ -249,14 +250,16 @@ def test_120cell_counts(cell120_rays):
     assert len(norms) == 1
 
 
-# sha256 of repr(vectors) for the 300 rays once read from the transcribed
-# coordinate file, which the cell-center derivation reproduced exactly
+# sha256 of repr(vectors), sorted, for the 300 rays once read from the
+# transcribed coordinate file, which the cell-center derivation reproduced
+# exactly
 RAYS_120CELL_SHA256 = (
     "7cececc182f356208862a243f802d3d6a4f533b2f30ee0ae972a8581537d6509")
 
 
 def test_120cell_rays_pinned(cell120_rays):
-    digest = hashlib.sha256(repr(cell120_rays.vectors).encode()).hexdigest()
+    rays = tuple(sorted(cell120_rays.vectors))
+    digest = hashlib.sha256(repr(rays).encode()).hexdigest()
     assert digest == RAYS_120CELL_SHA256
 
 
@@ -336,6 +339,41 @@ def test_coxeter_permutation_orbits_are_pentadecagons(three):
         assert power == list(range(len(rs))), name
         assert {len(o) for o in orbits(perm)} == {15}, name
         assert rotates_by_one_step(coxeter_projection(rs), perm), name
+
+
+def test_rays_numbered_round_w(three):
+    """The constructors number the rays round w's orbits, as the tables
+    number their pentadecagons, so w is the block shift σ; each orbit
+    starts at its least ray."""
+    for name, rs in three.items():
+        assert coxeter_permutation(rs) == tuple(
+            shift_position(i, 1) for i in range(len(rs))), name
+        firsts = [rs.vectors[i] for i in range(0, len(rs), 15)]
+        assert firsts == sorted(firsts), name
+        assert all(rs.vectors[i] > rs.vectors[i - i % 15]
+                   for i in range(len(rs)) if i % 15), name
+
+
+# simple-system Gram matrices at root norm 4, by dimension (H4, E8):
+# off-diagonal entries are -4*cos(pi/m) for diagram edges with mark m,
+# zero for non-edges.  -4*cos(pi/5) = -2*phi = -2 + 2a exactly.
+_GRAM_EDGES = {
+    4: {(0, 1): (-2, 2), (1, 2): (-2, 0), (2, 3): (-2, 0)},
+    8: {(0, 2): (-2, 0), (2, 3): (-2, 0), (3, 4): (-2, 0), (4, 5): (-2, 0),
+        (5, 6): (-2, 0), (6, 7): (-2, 0), (1, 3): (-2, 0)},
+}
+
+
+def test_simple_roots_realise_the_diagrams(h4, e8):
+    for rs in (h4, e8):
+        roots = geometry._SIMPLE_ROOTS[rs.dimension]
+        edges = _GRAM_EDGES[rs.dimension]
+        assert len(roots) == rs.dimension
+        for i, j in itertools.combinations_with_replacement(
+                range(len(roots)), 2):
+            want = (4, 0) if i == j else edges.get((i, j), ZERO)
+            assert golden.dot(roots[i], roots[j]) == want, (i, j)
+        assert all(rs.contains_up_to_sign(r) for r in roots)
 
 
 def test_rotation_check_rejects_a_moved_angle_or_the_identity(h4):
@@ -517,7 +555,7 @@ def test_coxeter_plane_requires_rotation_eigenvalue(h4, monkeypatch):
     minus_one = [gvec(*(2 * (i == j) for j in range(4))) for i in range(4)]
     a3 = [gvec(2, 0, 0, 0), gvec(-1, 1, 1, 1), gvec(0, -2, 0, 0)]
     for roots in (minus_one, a3):
-        monkeypatch.setattr(geometry, "_simple_roots", lambda _rs, r=roots: r)
+        monkeypatch.setitem(geometry._SIMPLE_ROOTS, 4, roots)
         with pytest.raises(RuntimeError, match="no eigenvalue"):
             coxeter_projection(h4)
 
@@ -561,22 +599,60 @@ def test_match_count_mismatch(h4, gosset):
         match_labeling(computed, table)
 
 
-def test_match_needs_no_recursion():
-    """150 disjoint pairs match only by individualizing one ray per pair,
-    a search 150 levels deep.  It runs under a recursion limit of 50
-    frames above the caller's."""
-    pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(150))
+def test_match_is_equivariant(three, polytopes):
+    """On all three polytopes the match turns w into the wraparound itself
+    (j = 1): phi(w x) = σ(phi x), and every computed basis lands on a
+    table basis."""
+    for name, rs in three.items():
+        table = polytopes[name][2]
+        perm = coxeter_permutation(rs)
+        computed = enumerate_bases(orthogonality_graph(rs), rs.dimension)
+        mapping = match_labeling(computed, table)
+        assert all(mapping[perm[x]] - 1 == shift_position(mapping[x] - 1, 1)
+                   for x in mapping), name
+        targets = set(table.bases)
+        assert all(tuple(sorted(mapping[r] for r in b)) in targets
+                   for b in computed), name
+
+
+def test_match_finds_a_power_of_the_wraparound():
+    """In one block of fifteen, no translation carries the translates of
+    {0, 1, 3} onto those of {0, 2, 6}; doubling does, and it turns σ into
+    σ^2."""
+    computed = [tuple(sorted((s + r) % 15 for r in (0, 1, 3)))
+                for s in range(15)]
+    reference = [tuple(sorted(1 + (s + r) % 15 for r in (0, 2, 6)))
+                 for s in range(15)]
+    mapping = match_labeling(computed, SimpleNamespace(bases=reference))
+    assert all(mapping[shift_position(x, 1)] - 1
+               == shift_position(mapping[x] - 1, 2) for x in mapping)
+
+
+def test_match_rejects_rays_not_numbered_round_w(h4, cell600):
+    """The sorted 600-cell has the same bases, but the block shift of its
+    ray ids is not w, so no equivariant bijection exists."""
+    *_a, table, _pm, _spec = cell600
+    unnumbered = RaySet("600cell", tuple(sorted(h4.vectors)))
+    computed = enumerate_bases(orthogonality_graph(unnumbered), 4)
+    with pytest.raises(MatchError):
+        match_labeling(computed, table)
+
+
+def test_match_needs_no_recursion(cell120_rays, cell120):
+    """The 120-cell match places 20 blocks, a search 20 levels deep.  It
+    runs under a recursion limit of 50 frames above the caller's."""
+    *_a, table, _pm, _spec = cell120
+    computed = enumerate_bases(orthogonality_graph(cell120_rays), 4)
     depth, frame = 0, sys._getframe()
     while frame:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
-        mapping = match_labeling(pairs, SimpleNamespace(bases=pairs))
+        mapping = match_labeling(computed, table)
     finally:
         sys.setrecursionlimit(limit)
-    assert {frozenset(map(mapping.get, p)) for p in pairs} == set(
-        map(frozenset, pairs))
+    assert sorted(mapping.values()) == list(range(1, 301))
 
 
 def test_match_rejects_wrong_structure(cell600):
