@@ -4,18 +4,19 @@
 Nothing here touches the numbered tables: the 600-cell comes from three
 orbit seeds over the golden ring, E8 from the coordinate map applied to two
 concentric 600-cells, and the 120-cell from the 600-cell's cell centers.
-Bases are recovered as cliques of exact orthogonality graphs, the rays
-fall into the orbits of the Coxeter element w, with radii from the
-projection onto the Coxeter plane, and each ray set is numbered round
-those orbits, fifteen ids per orbit, the way the tables number their
-pentadecagons.  The bases are finally matched ray-for-ray against the
-generator tables by an equivariant match: a bijection that carries bases
-to bases and turns w into the tables' wraparound σ.
+Each ray set is numbered round the orbits of the Coxeter element w,
+fifteen ids per orbit, the way the tables number their pentadecagons, so
+w is the wraparound σ on its ids.  Bases are recovered as cliques of
+exact orthogonality graphs, and the rings are w's orbits, with radii from
+the projection onto the Coxeter plane.  The bases are finally matched
+ray-for-ray against the generator tables by an equivariant match: a
+bijection that carries bases to bases and turns w into the tables'
+wraparound σ.
 """
 
 from kspoly import load_polytope
-from kspoly.geometry import (build_120cell_rays, coxeter_permutation,
-                             coxeter_projection, e8_rays, enumerate_bases,
+from kspoly.geometry import (build_120cell_rays, coxeter_projection,
+                             e8_rays, enumerate_bases,
                              icosian_600cell, match_labeling,
                              orthogonality_graph, pentadecagon_classes,
                              rigidity_demo)
@@ -29,10 +30,9 @@ for name, (build, d) in builders.items():
     rs = build()
     graph = orthogonality_graph(rs)
     bases = enumerate_bases(graph, d)
-    # the rings are the orbits of the Coxeter element w, an exact ray
-    # permutation; the projection gives their radii
-    perm = coxeter_permutation(rs)
-    rings = pentadecagon_classes(coxeter_projection(rs), perm)
+    # the rings are the orbits of w, the blocks of fifteen ids; the
+    # projection gives their radii
+    rings = pentadecagon_classes(coxeter_projection(rs))
     radii = ", ".join(f"{r:.4f}" for r, _ in rings)
     print(f"{name}: {len(rs)} rays, {graph.n_edges} orthogonal pairs, "
           f"{len(bases)} bases of {d}")
@@ -40,8 +40,8 @@ for name, (build, d) in builders.items():
     layout, gens = load_polytope(name)
     table = build_basis_table(layout, gens)
     mapping = match_labeling(bases, table)
-    turns = all(mapping[perm[x]] - 1 == shift_position(mapping[x] - 1, 1)
-                for x in mapping)
+    turns = all(mapping[shift_position(x, 1)] - 1
+                == shift_position(mapping[x] - 1, 1) for x in mapping)
     print(f"  equivariant match against the generator table: "
           f"{len(mapping)} rays mapped, w carried onto the wraparound: "
           f"{turns}")

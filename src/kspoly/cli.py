@@ -277,13 +277,11 @@ def cmd_geometry(args) -> int:
         failure = "construction counts do not match"
     elif args.check == "project":
         proj = geometry.coxeter_projection(rs)
-        perm = geometry.coxeter_permutation(rs)
-        classes = geometry.pentadecagon_classes(proj, perm)
+        classes = geometry.pentadecagon_classes(proj)
         doc["pentadecagons"] = [
             {"radius": round(r, 6), "rays": len(m)} for r, m in classes]
         # w turns each class, fifteen rays 24 degrees apart, by one ray
-        doc["ok"] = ok = (geometry.rotates_by_one_step(proj, perm)
-                          and all(len(m) == 15 for _, m in classes))
+        doc["ok"] = ok = geometry.rotates_by_one_step(proj)
         text_lines = [f"{r:.4f}  {len(m)} rays" for r, m in classes]
         failure = "projection classes malformed"
     elif args.check == "match":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -35,11 +36,23 @@ def _typed(value, kind: str, name: str):
     return value
 
 
-def _field(obj: dict, key: str, kind: str, where: str = ""):
+# the schema's enums, patterns and bounds: (test, what the field expects)
+_DIMENSION = (lambda d: d in (4, 8), "4 or 8")
+_LABEL = (re.compile(r"[A-L][12]?").fullmatch,
+          "a label matching ^[A-L][12]?$")
+_RADIUS = (lambda r: r > 0, "> 0")
+_ANGLE = (lambda a: 0 <= a <= 360, "0..360")
+
+
+def _field(obj: dict, key: str, kind: str, where: str = "", rule=None):
     name = f"{where}.{key}" if where else key
     if key not in obj:
         raise DatasetError(f"missing field {name}")
-    return _typed(obj[key], kind, name)
+    value = _typed(obj[key], kind, name)
+    if rule and not rule[0](value):
+        raise DatasetError(f"field {name}: expected {rule[1]}, "
+                           f"got {value!r}")
+    return value
 
 
 def _objects(doc: dict, key: str):
@@ -53,13 +66,14 @@ def dataset_from_dict(doc: dict) -> tuple[PentadecagonLayout, tuple[Generator, .
         raise DatasetError("a dataset must be a JSON object")
     layout = PentadecagonLayout(
         polytope=_field(doc, "polytope", "string"),
-        dimension=_field(doc, "dimension", "integer"),
+        dimension=_field(doc, "dimension", "integer", rule=_DIMENSION),
         pentadecagons=tuple(
-            Pentadecagon(_field(p, "label", "string", where),
+            Pentadecagon(_field(p, "label", "string", where, _LABEL),
                          _field(p, "lo", "integer", where),
                          _field(p, "hi", "integer", where),
-                         float(_field(p, "radius", "number", where)),
-                         float(_field(p, "angle_deg", "number", where)))
+                         float(_field(p, "radius", "number", where, _RADIUS)),
+                         float(_field(p, "angle_deg", "number", where,
+                                      _ANGLE)))
             for where, p in _objects(doc, "pentadecagons")),
     )
     generators = tuple(

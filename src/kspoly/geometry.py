@@ -8,20 +8,20 @@ sign changes; doubling it by the a-scaling and applying the coordinate map
 file.  Bases are recovered with no reference to the numbered tables, as
 d-cliques of the exact orthogonality graph.
 
-The Coxeter element w, the product of the simple reflections, is computed
-exactly as a permutation of the rays.  It has order 15 and its orbits are
-the projected pentadecagons, so the orthogonality graph is built from one
-ray per orbit, each row carried round its orbit, the clique walk starts
-only from one ray per orbit, and the pentadecagon classes are the orbits.
-Each ray set is numbered round w's orbits, fifteen ids per orbit, the way
-the tables number their pentadecagons, so w is the tables' wraparound σ
-on the ids.  A table is then validated by an equivariant match: a ray
+The Coxeter element w, the product of the simple reflections, runs once,
+exactly, when a RaySet is built: its rays are numbered round w's orbits,
+fifteen ids per orbit, the way the tables number their pentadecagons.  So
+w is the tables' wraparound σ on the ids of every RaySet, and nothing
+downstream computes it: the orthogonality graph is built from one ray per
+block of fifteen, each row carried round its block by σ, the clique walk
+starts only from one ray per block, and the pentadecagon classes are the
+blocks.  A table is then validated by an equivariant match: a ray
 bijection that carries bases to bases and turns w into σ.
 The triacontagonal (Coxeter-plane) projection applies w only through the
 same exact reflections: the plane is spanned by the cos/sin-weighted sums of
 w's 30 exact powers of 2e_0.  The only floating point left is those two
 sums and two dot products per ray, for the radii, the angles and the check
-that w turns the plane by one step; every orthogonality and class decision
+that σ turns the plane by one step; every orthogonality and class decision
 is exact.
 """
 
@@ -43,13 +43,89 @@ from .raysystem import ORBIT, Basis, BasisTable, ray_index, shift_position
 FloatVector = tuple[float, ...]
 
 
+# --------------------------------------------------------------------------
+# the Coxeter element w, and ray sets numbered round it
+
+
+# simple systems at root norm 4, by dimension, whose reflections in order
+# multiply to w: the 600-cell's (H4) serves every 4-d set, since the
+# 120-cell is no root system and the a-scaled 600-cell's roots are not of
+# norm 4, and all three share the 600-cell's symmetry group; E8's is
+# Gosset's own.  Any realisation of the Coxeter diagram would do, since all
+# Coxeter elements are conjugate; these fix w, and with it the numbering
+# of every RaySet, the plane's phase and every projected angle.  (0, -1)
+# is -a and (-1, 1) is -b.
+_SIMPLE_ROOTS = {
+    4: (gvec((0, -1), -1, 0, (-1, 1)), gvec((0, -1), 1, 0, BETA),
+        gvec((-1, 1), 0, 1, ALPHA), gvec(0, 0, -2, 0)),
+    8: (gvec(0, 0, 0, 0, 0, 0, 0, 2), gvec(0, 0, 0, 0, 0, 0, 2, 0),
+        gvec(0, 0, 1, -1, 0, -1, 0, -1), gvec(0, 0, -1, 1, 1, 0, -1, 0),
+        gvec(0, 0, 0, 0, -2, 0, 0, 0), gvec(0, -1, 1, 0, 1, 1, 0, 0),
+        gvec(0, 2, 0, 0, 0, 0, 0, 0), gvec(1, -1, -1, -1, 0, 0, 0, 0)),
+}
+
+
+def _reflect(v: GoldenVector, root: GoldenVector) -> GoldenVector:
+    """The reflection of v in the hyperplane of a root of squared norm 4,
+    computed as 2 s(v) = 2v - (v.root) root and halved exactly; ValueError
+    when s(v) has an entry outside the golden ring."""
+    cm, cn = golden.dot(v, root)
+    out = []
+    for (m, n), (p, q) in zip(v, root):
+        # (v.root) * (p + q a) multiplied out with a^2 = a + 1, inline: the
+        # 1,200 reflections of the 120-cell take twice as long through
+        # golden.vec_scale
+        tm = 2 * m - cm * p - cn * q
+        tn = 2 * n - cm * q - cn * p - cn * q
+        if tm % 2 or tn % 2:
+            raise ValueError("reflection leaves the golden ring")
+        out.append((tm // 2, tn // 2))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RaySet:
     """One representative golden vector per antipodal pair of polytope
-    vertices, sign-canonical (first nonzero coordinate positive)."""
+    vertices, sign-canonical (first nonzero coordinate positive), numbered
+    round the orbits of w.
+
+    Building a RaySet numbers its rays as the tables number their
+    pentadecagons: the rays sorted, each ray not yet numbered starts an
+    orbit, which follows w (the simple reflections of `_SIMPLE_ROOTS` for
+    the set's dimension, in order, then `canonical_sign`) for fifteen ids.
+    So w is the block shift σ (`shift_position`) on every RaySet's ids, and
+    the same rays in any order give the same set.  ValueError when the set
+    is empty, repeats a ray, has a dimension with no simple system, or is
+    not mapped onto itself by w in orbits of fifteen.
+    """
 
     polytope: str
     vectors: tuple[GoldenVector, ...]
+
+    def __post_init__(self) -> None:
+        if not self.vectors:
+            raise ValueError("a ray set needs at least one ray")
+        simple = _SIMPLE_ROOTS.get(self.dimension)
+        if simple is None:
+            raise ValueError(f"no simple system in dimension {self.dimension}")
+        left = set(self.vectors)
+        if len(left) != len(self.vectors):
+            raise ValueError("a ray is repeated")
+        numbered: list[GoldenVector] = []
+        for v in sorted(left):
+            if v not in left:
+                continue
+            start = len(numbered)
+            while v in left:
+                left.remove(v)
+                numbered.append(v)
+                for root in simple:
+                    v = _reflect(v, root)
+                v = canonical_sign(v)
+            if v != numbered[start] or len(numbered) - start != ORBIT:
+                raise ValueError("w does not map the rays onto themselves "
+                                 "in orbits of fifteen")
+        object.__setattr__(self, "vectors", tuple(numbered))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -57,12 +133,6 @@ class RaySet:
     @property
     def dimension(self) -> int:
         return len(self.vectors[0])
-
-    def dot(self, i: int, j: int) -> Golden:
-        return golden.dot(self.vectors[i], self.vectors[j])
-
-    def is_orthogonal(self, i: int, j: int) -> bool:
-        return self.dot(i, j) == ZERO
 
     def contains_up_to_sign(self, v: GoldenVector) -> bool:
         return canonical_sign(v) in self.vectors
@@ -95,8 +165,7 @@ _H4_ORBIT_SIZES = (8, 16, 96)
 
 
 def icosian_600cell() -> RaySet:
-    """The 60 rays of the 600-cell, exactly, on a sphere of radius 2,
-    numbered round w (`_numbered`)."""
+    """The 60 rays of the 600-cell, exactly, on a sphere of radius 2."""
     ops = signed_permutation_group()
     vectors: set[GoldenVector] = set()
     for seed, expect in zip(_H4_SEEDS, _H4_ORBIT_SIZES):
@@ -111,7 +180,7 @@ def icosian_600cell() -> RaySet:
     rays = {canonical_sign(v) for v in vectors}
     if len(rays) != 60:
         raise RuntimeError("antipodal merge did not yield 60 rays")
-    return _numbered("600cell", rays)
+    return RaySet("600cell", tuple(rays))
 
 
 def scale_by_alpha(rs: RaySet) -> RaySet:
@@ -122,18 +191,16 @@ def scale_by_alpha(rs: RaySet) -> RaySet:
 
 def e8_rays() -> RaySet:
     """The 120 rays (240 roots) of E8 as the coordinate-map image of the
-    two concentric 600-cells, as golden vectors with integer entries,
-    numbered round w (`_numbered`)."""
-    h4a = icosian_600cell()
-    h4b = scale_by_alpha(h4a)
+    two concentric 600-cells, as golden vectors with integer entries."""
+    h4 = icosian_600cell().vectors
     images = {canonical_sign(gvec(*phi_map(v)))
-              for v in h4a.vectors + h4b.vectors}
+              for v in h4 + tuple(vec_scale(ALPHA, u) for u in h4)}
     if len(images) != 120:
         raise RuntimeError("coordinate map did not give 120 distinct rays")
     for w in images:
         if golden.dot(w, w) != (4, 0):
             raise RuntimeError(f"root {w} has squared norm != 4")
-    return _numbered("gosset", images)
+    return RaySet("gosset", tuple(images))
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +213,7 @@ def build_120cell_rays() -> RaySet:
     The 600 tetrahedral cells are the 4-cliques of the nearest-neighbour
     graph (vertex inner product 2*phi = 2 - 2a at radius 2); each center is
     the exact golden sum of its four vertices, which leaves the rays in the
-    icosian frame of the 600-cell.  They are numbered round w (`_numbered`).
+    icosian frame of the 600-cell.
     """
     h4 = icosian_600cell()
     verts = [v for u in h4.vectors for v in (u, vec_neg(u))]
@@ -159,7 +226,7 @@ def build_120cell_rays() -> RaySet:
         for t in range(4))) for cell in cells}
     if len(centers) != 300:
         raise RuntimeError("cell centers did not merge to 300 rays")
-    return _numbered("120cell", centers)
+    return RaySet("120cell", tuple(centers))
 
 
 # --------------------------------------------------------------------------
@@ -186,9 +253,6 @@ class OrthoGraph:
     @property
     def n_edges(self) -> int:
         return sum(a.bit_count() for a in self.adjacency) // 2
-
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
 
 
 def _permute(mask: int, perm: Sequence[int]) -> int:
@@ -252,9 +316,11 @@ def _graph(vectors: Sequence[GoldenVector], value: Golden,
 
 
 def orthogonality_graph(rs: RaySet) -> OrthoGraph:
-    """The exact orthogonality graph, with the Coxeter element as its
-    symmetry, built by transport along w's orbits."""
-    return _graph(rs.vectors, ZERO, coxeter_permutation(rs))
+    """The exact orthogonality graph, with w as its symmetry (σ on the
+    ids, since every RaySet is numbered round w), built by transport
+    along σ's blocks."""
+    return _graph(rs.vectors, ZERO,
+                  [shift_position(i, 1) for i in range(len(rs))])
 
 
 def _basis_rows(n: int, bases: Iterable[Sequence[int]]) -> list[int]:
@@ -329,81 +395,11 @@ def saturated(g: OrthoGraph, bases: Iterable[tuple[int, ...]]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# the Coxeter element: an exact ray permutation, and the triacontagonal
-# (Coxeter-plane) projection
+# the triacontagonal (Coxeter-plane) projection
 
 
-# simple systems at root norm 4, by dimension, whose reflections in order
-# multiply to w: the 600-cell's (H4) serves every 4-d set, since the
-# 120-cell is no root system and the a-scaled 600-cell's roots are not of
-# norm 4, and all three share the 600-cell's symmetry group; E8's is
-# Gosset's own.  Any realisation of the Coxeter diagram would do, since all
-# Coxeter elements are conjugate; these fix w, and with it the plane's
-# phase and every projected angle.  (0, -1) is -a and (-1, 1) is -b.
-_SIMPLE_ROOTS = {
-    4: (gvec((0, -1), -1, 0, (-1, 1)), gvec((0, -1), 1, 0, BETA),
-        gvec((-1, 1), 0, 1, ALPHA), gvec(0, 0, -2, 0)),
-    8: (gvec(0, 0, 0, 0, 0, 0, 0, 2), gvec(0, 0, 0, 0, 0, 0, 2, 0),
-        gvec(0, 0, 1, -1, 0, -1, 0, -1), gvec(0, 0, -1, 1, 1, 0, -1, 0),
-        gvec(0, 0, 0, 0, -2, 0, 0, 0), gvec(0, -1, 1, 0, 1, 1, 0, 0),
-        gvec(0, 2, 0, 0, 0, 0, 0, 0), gvec(1, -1, -1, -1, 0, 0, 0, 0)),
-}
 COXETER_NUMBER = 30
 STEP_TOL = 1e-6  # radius, and degrees, of one step of w in the projection
-
-
-def _reflect(v: GoldenVector, root: GoldenVector) -> GoldenVector:
-    """The reflection of v in the hyperplane of a root of squared norm 4,
-    computed as 2 s(v) = 2v - (v.root) root and halved exactly; ValueError
-    when s(v) has an entry outside the golden ring."""
-    cm, cn = golden.dot(v, root)
-    out = []
-    for (m, n), (p, q) in zip(v, root):
-        # (v.root) * (p + q a) multiplied out with a^2 = a + 1, inline: the
-        # 1,200 reflections of the 120-cell take twice as long through
-        # golden.vec_scale
-        tm = 2 * m - cm * p - cn * q
-        tn = 2 * n - cm * q - cn * p - cn * q
-        if tm % 2 or tn % 2:
-            raise ValueError("reflection leaves the golden ring")
-        out.append((tm // 2, tn // 2))
-    return tuple(out)
-
-
-def coxeter_permutation(rs: RaySet) -> tuple[int, ...]:
-    """The Coxeter element w (the simple reflections in order) as a
-    permutation of the ray indices: ray i goes to the ray of w(v_i).
-
-    The simple system is `_SIMPLE_ROOTS` of the set's dimension.  On the
-    three polytopes w has order 15, its orbits are the projected
-    pentadecagons, and the constructors number the rays round them, so w
-    is the block shift i -> i - i mod 15 + (i + 1) mod 15.  A set that w
-    does not map onto itself gets the identity.
-    """
-    simple = _SIMPLE_ROOTS[rs.dimension]
-    index = {v: i for i, v in enumerate(rs.vectors)}
-    perm = []
-    for v in rs.vectors:
-        try:
-            for root in simple:
-                v = _reflect(v, root)
-        except ValueError:
-            return tuple(range(len(rs)))
-        j = index.get(canonical_sign(v))
-        if j is None:
-            return tuple(range(len(rs)))
-        perm.append(j)
-    return tuple(perm)
-
-
-def _numbered(polytope: str, rays: Iterable[GoldenVector]) -> RaySet:
-    """The rays numbered round the orbits of w, as the tables number their
-    pentadecagons: the orbits in order of their least ray (the rays
-    sorted), each starting there and following w."""
-    rs = RaySet(polytope, tuple(sorted(rays)))
-    return RaySet(polytope, tuple(rs.vectors[x] for orbit
-                                  in orbits(coxeter_permutation(rs))
-                                  for x in orbit))
 
 
 def _fdot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -454,9 +450,10 @@ def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
     powers of 2e_0 (`_coxeter_plane`); radii normalised so the largest is
     exactly 1.
 
-    w is the same as `coxeter_permutation`'s, from the same simple system,
-    so it turns the plane by one step of 2*pi/30.  Each ray costs two float
-    dot products, the only floating point besides the plane's two sums.
+    w is the one that numbers every RaySet, from the same simple system,
+    so σ on the ids turns the plane by one step of 2*pi/30.  Each ray costs
+    two float dot products, the only floating point besides the plane's
+    two sums.
     """
     x, y = _coxeter_plane(_SIMPLE_ROOTS[rs.dimension])
     out = []
@@ -468,35 +465,36 @@ def coxeter_projection(rs: RaySet) -> list[tuple[float, float]]:
     return [(r / rmax, a) for r, a in out]
 
 
-def pentadecagon_classes(projection: Sequence[tuple[float, float]],
-                         perm: Sequence[int]
+def pentadecagon_classes(projection: Sequence[tuple[float, float]]
                          ) -> list[tuple[float, list[int]]]:
-    """(radius, members) per orbit of the ray permutation w, outermost
-    first; the members start at the orbit's least ray and follow w.
+    """(radius, members) per orbit of w in a RaySet's projection, outermost
+    first: the orbits are the blocks of fifteen ids, whose order follows w.
 
     Membership is exact: a pentadecagon is an orbit of w.  The projection
-    gives only the radius, of the least ray, and with it the order.
+    gives only the radius, of the block's first ray, and with it the order.
     """
-    return sorted(((projection[o[0]][0], o) for o in orbits(perm)),
+    return sorted(((projection[s][0], list(range(s, s + ORBIT)))
+                   for s in range(0, len(projection), ORBIT)),
                   key=lambda c: -c[0])
 
 
-def rotates_by_one_step(projection: Sequence[tuple[float, float]],
-                        perm: Sequence[int]) -> bool:
-    """Whether w keeps every ray's projected radius and turns every angle
-    by one fixed step of +-12 degrees (360/30), mod 180 (a ray's two
-    vectors project 180 degrees apart), all within STEP_TOL.
+def rotates_by_one_step(projection: Sequence[tuple[float, float]]) -> bool:
+    """Whether w, σ on a RaySet's ids, keeps every ray's projected radius
+    and turns every angle by one fixed step of +-12 degrees (360/30), mod
+    180 (a ray's two vectors project 180 degrees apart), all within
+    STEP_TOL.
 
     Then each orbit of w holds fifteen rays 24 degrees apart as vectors:
     a regular pentadecagon.
     """
-    steps = [(projection[j][1] - a) % 180.0
-             for (_, a), j in zip(projection, perm)]
+    images = [projection[shift_position(i, 1)]
+              for i in range(len(projection))]
+    steps = [(b - a) % 180.0 for (_, a), (_, b) in zip(projection, images)]
     step = steps[0]
     return (min(abs(step - 12.0), abs(step - 168.0)) <= STEP_TOL
             and all(abs(s - step) <= STEP_TOL for s in steps)
-            and all(abs(projection[j][0] - r) <= STEP_TOL
-                    for (r, _), j in zip(projection, perm)))
+            and all(abs(r2 - r) <= STEP_TOL
+                    for (r, _), (r2, _) in zip(projection, images)))
 
 
 # --------------------------------------------------------------------------
@@ -576,9 +574,9 @@ def match_labeling(computed: Sequence[Basis],
     power of the table's wraparound: phi(σx) = σ^j phi(x).
 
     Each side's rays (the ones that occur, sorted) are numbered in blocks
-    of fifteen.  The constructed ray sets are numbered round the Coxeter
-    element w, so σ is w there, and j = 1 on all three polytopes says that
-    the wraparound is w.  The search is `_equivariant_search` on the two
+    of fifteen.  Every RaySet is numbered round the Coxeter element w, so
+    σ is w on its ids, and j = 1 on all three polytopes says that the
+    wraparound is w.  The search is `_equivariant_search` on the two
     basis co-occurrence graphs; bases must then map to bases.
 
     Returns {computed ray id -> reference ray id}; raises MatchError when

@@ -201,12 +201,6 @@ def dual_weight_distribution(m: BitMatrix) -> WeightDistribution:
     return WeightDistribution(Counter(map(int.bit_count, span(reduced))))
 
 
-def enumerate_code_weights(spec: CodeSpec) -> WeightDistribution:
-    """Direct enumeration of the nullspace code (oracle-grade, exponential)."""
-    return WeightDistribution(
-        Counter(map(int.bit_count, span(spec.nullspace_basis))))
-
-
 def _kernel_rows(n: int) -> Iterator[list[int]]:
     """The binary Krawtchouk kernel K_w(w'; n), w = 0..n, one row per dual
     weight w' = 0..n: the coefficients of (1 - z)^w' (1 + z)^(n - w')."""

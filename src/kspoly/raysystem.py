@@ -77,11 +77,6 @@ class PentadecagonLayout:
             raise ValueError(f"ray {ray} out of range 1..{self.n_rays}")
         return self.pentadecagons[(ray - 1) // ORBIT]
 
-    def shift_ray(self, ray: int, shift: int) -> int:
-        """Cyclic shift of a ray inside its own pentadecagon (wraparound)."""
-        p = self.pentadecagon_of(ray)
-        return p.lo + (ray - p.lo + shift) % ORBIT
-
 
 # --------------------------------------------------------------------------
 # generators and basis tables

@@ -7,25 +7,25 @@ comparisons are exact except the stated float tolerances of criterion 11.
 """
 
 import random
+from collections import Counter
 
 from conftest import NULLSPACE_WORDS_120, PROOFS_120, PROOFS_GOSSET
 from kspoly.contextuality import (classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, local_indices,
                                   proof_from_word, verify_parity_proof)
-from kspoly.geometry import (coxeter_permutation, coxeter_projection,
-                             e8_rays, enumerate_bases, icosian_600cell,
-                             orthogonality_graph, pentadecagon_classes,
-                             rigidity_demo, rotates_by_one_step, saturated)
+from kspoly.geometry import (coxeter_projection, e8_rays, enumerate_bases,
+                             icosian_600cell, orthogonality_graph,
+                             pentadecagon_classes, rigidity_demo,
+                             rotates_by_one_step, saturated)
 from kspoly.gf2 import (BitMatrix, dual_weight_distribution,
-                        enumerate_code_weights, enumerate_words,
-                        gf2_nullspace, is_minimal_word, macwilliams_transform,
-                        minimality_bound, odd_weight_total,
-                        profile_matrix_mod2)
+                        enumerate_words, gf2_nullspace, is_minimal_word,
+                        macwilliams_transform, minimality_bound,
+                        odd_weight_total, profile_matrix_mod2, span)
 from kspoly import golden
 from kspoly.golden import phi_map
 from kspoly.raysystem import (Word, compose_words, parse_word,
-                              ray_basis_symbol, render_word, symbol_from_word,
-                              word_to_bases)
+                              ray_basis_symbol, render_word, shift_position,
+                              symbol_from_word, word_to_bases)
 
 
 def ok(n: int, message: str) -> None:
@@ -169,7 +169,7 @@ def test_criterion_08_decomposition_fixtures(cell120, gosset):
         assert not union & s.basis_indices
         union |= s.basis_indices
         for bi in s.basis_indices:
-            shifted = frozenset(layout2.shift_ray(r, 3)
+            shifted = frozenset(shift_position(r - 1, 3) + 1
                                 for r in table2.bases[bi])
             assert basis_index[shifted] in s.basis_indices
     assert union == p.basis_indices
@@ -268,7 +268,7 @@ def test_criterion_10_geometry_counts(gosset):
     for i in range(60):
         for j in range(i + 1, 60):
             pairs += 1
-            if h4.is_orthogonal(i, j):
+            if golden.dot(h4.vectors[i], h4.vectors[j]) == golden.ZERO:
                 assert sum(a * b for a, b in zip(images[i],
                                                  images[j])) == 0
     assert pairs == 1770
@@ -284,12 +284,12 @@ def test_criterion_10_geometry_counts(gosset):
 
 def test_criterion_11_projection(cell600, gosset):
     h4 = icosian_600cell()
-    proj, perm = coxeter_projection(h4), coxeter_permutation(h4)
-    classes = pentadecagon_classes(proj, perm)
+    proj = coxeter_projection(h4)
+    classes = pentadecagon_classes(proj)
     want600 = sorted((p.radius for p in cell600[0].pentadecagons),
                      reverse=True)
     assert len(classes) == 4
-    assert rotates_by_one_step(proj, perm)
+    assert rotates_by_one_step(proj)
     for (r, members), want in zip(classes, want600):
         assert abs(r - want) < 5e-4
         assert len(members) == 15
@@ -297,12 +297,12 @@ def test_criterion_11_projection(cell600, gosset):
         spread = max(residues) - min(residues)
         assert min(spread, 12.0 - spread) < 1e-6
     e8 = e8_rays()
-    proj8, perm8 = coxeter_projection(e8), coxeter_permutation(e8)
-    classes8 = pentadecagon_classes(proj8, perm8)
+    proj8 = coxeter_projection(e8)
+    classes8 = pentadecagon_classes(proj8)
     assert len(classes8) == 8
     wantg = sorted((p.radius for p in gosset[0].pentadecagons), reverse=True)
     flagged = None
-    assert rotates_by_one_step(proj8, perm8)
+    assert rotates_by_one_step(proj8)
     for (r, members), want in zip(classes8, wantg):
         assert len(members) == 15
         residues = [proj8[i][1] % 12.0 for i in members]
@@ -343,7 +343,8 @@ def test_criterion_12_property_suites(polytopes):
         spec = gf2_nullspace(m)
         dual = dual_weight_distribution(m)
         dist = macwilliams_transform(dual, n_cols)
-        assert dist.counts == enumerate_code_weights(spec).counts
+        assert dist.counts == Counter(
+            map(int.bit_count, span(spec.nullspace_basis)))
         assert macwilliams_transform(dist, n_cols).counts == dual.counts
         mw_checks += 1
     ok(12, f"group laws on {pair_checks} random word pairs; MacWilliams "

@@ -137,6 +137,53 @@ def test_data_malformed_exit2(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"kspoly: {path}: {message}\n"
 
 
+def _set_pentadecagon(field, value):
+    def edit(doc):
+        doc["pentadecagons"][1][field] = value
+    return edit
+
+
+def _set_dimension(doc):
+    doc["dimension"] = 5
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_dimension, "field dimension: expected 4 or 8, got 5"),
+    (_set_pentadecagon("label", "Z9"), "field pentadecagons[1].label: "
+     "expected a label matching ^[A-L][12]?$, got 'Z9'"),
+    (_set_pentadecagon("radius", -1.0),
+     "field pentadecagons[1].radius: expected > 0, got -1.0"),
+    (_set_pentadecagon("radius", 0),
+     "field pentadecagons[1].radius: expected > 0, got 0"),
+    (_set_pentadecagon("angle_deg", 400),
+     "field pentadecagons[1].angle_deg: expected 0..360, got 400"),
+    (_set_pentadecagon("angle_deg", -0.5),
+     "field pentadecagons[1].angle_deg: expected 0..360, got -0.5"),
+])
+@pytest.mark.parametrize("argv", [
+    ["gen-bases"],
+    ["word", "a", "verify"],
+    ["geometry", "match"],
+])
+def test_data_out_of_schema_bounds_exit2(tmp_path, capsys, edit, message,
+                                         argv):
+    """dataset.schema.json's enums, patterns and bounds are enforced."""
+    path = _bad_data(tmp_path, edit)
+    code = main(argv + ["--polytope", "600cell", "--data", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"kspoly: {path}: {message}\n"
+
+
+def test_data_schema_bounds_are_inclusive(tmp_path, capsys):
+    def edit(doc):
+        doc["pentadecagons"][0]["angle_deg"] = 0
+        doc["pentadecagons"][1]["angle_deg"] = 360
+        doc["pentadecagons"][2]["label"] = "L2"
+    path = _bad_data(tmp_path, edit)
+    assert main(["gen-bases", "--polytope", "600cell", "--data",
+                 str(path)]) == 0
+
+
 def _crowd_b(doc):
     doc["generators"][1]["rays"] = [1, 2, 3, 4]
 
@@ -185,19 +232,20 @@ _FIELD_VALUES = st.one_of(
 
 
 @st.composite
-def _mutated_600cell(draw):
-    """The 600-cell dataset with one field changed: a pentadecagon or
-    generator label, the dimension, a lo or hi, one ray id, or the
-    generator list (dropped, repeated or reordered generators)."""
-    doc = json.loads(data_text("600cell.json"))
-    field = draw(st.sampled_from(
-        ("label", "dimension", "lo", "hi", "ray", "generators")))
+def _mutated_dataset(draw, polytope):
+    """The embedded dataset with one field changed: a pentadecagon or
+    generator label, the dimension, a lo, hi, radius or angle_deg, one ray
+    id, or the generator list (dropped, repeated or reordered
+    generators)."""
+    doc = json.loads(data_text(f"{polytope}.json"))
+    field = draw(st.sampled_from(("label", "dimension", "lo", "hi", "radius",
+                                  "angle_deg", "ray", "generators")))
     if field == "label":
         items = doc[draw(st.sampled_from(("pentadecagons", "generators")))]
         draw(st.sampled_from(items))["label"] = draw(_FIELD_VALUES)
     elif field == "dimension":
         doc["dimension"] = draw(_FIELD_VALUES)
-    elif field in ("lo", "hi"):
+    elif field in ("lo", "hi", "radius", "angle_deg"):
         draw(st.sampled_from(doc["pentadecagons"]))[field] = draw(
             _FIELD_VALUES)
     elif field == "ray":
@@ -209,30 +257,64 @@ def _mutated_600cell(draw):
     return doc
 
 
-_FUZZ_COMMANDS = (
-    ["gen-bases"],
-    ["weights", "--odd"],
-    ["word", "a", "verify"],
-    ["word", "a b", "expand"],
-    ["word", "a c d", "symbol"],
-    ["word", "a c d", "minimal"],
-    ["word", "a c d", "decompose"],
-    ["word", "a", "verify", "--check-assignment"],
-    ["geometry", "match"],
-)
+_FUZZ_COMMANDS = {
+    "600cell": (
+        ["gen-bases"],
+        ["weights", "--odd"],
+        ["word", "a", "verify"],
+        ["word", "a b", "expand"],
+        ["word", "a c d", "symbol"],
+        ["word", "a c d", "minimal"],
+        ["word", "a c d", "decompose"],
+        ["word", "a", "verify", "--check-assignment"],
+        ["geometry", "match"],
+    ),
+    "120cell": (
+        ["gen-bases"],
+        ["weights", "--odd"],
+        ["word", "cdy", "verify"],
+        ["word", "cdy", "decompose"],
+        ["geometry", "match"],
+    ),
+    "gosset": (
+        ["gen-bases"],
+        ["weights", "--odd"],
+        ["word", "e1 e2", "verify"],
+        ["word", "b1", "expand"],
+        ["geometry", "match"],
+    ),
+}
 
 
-@settings(max_examples=25, deadline=None)
-@given(_mutated_600cell(), st.sampled_from(_FUZZ_COMMANDS))
-def test_data_fuzz_documented_exits(tmp_path_factory, doc, argv):
-    """A --data file with one mutated field ends in a documented exit
-    code, never an exception."""
+def _exit_code(polytope, doc, argv, tmp_path_factory):
+    """The exit code of one command on a --data file holding doc."""
     path = tmp_path_factory.mktemp("fuzz") / "data.json"
     path.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--polytope", "600cell", "--data", str(path)])
+        return main(argv + ["--polytope", polytope, "--data", str(path)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mutated_dataset("600cell"), st.sampled_from(_FUZZ_COMMANDS["600cell"]))
+def test_data_fuzz_documented_exits(tmp_path_factory, doc, argv):
+    """A --data file with one mutated field ends in a documented exit
+    code, never an exception."""
+    code = _exit_code("600cell", doc, argv, tmp_path_factory)
     assert code in (0, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("polytope", ["120cell", "gosset"])
+def test_data_fuzz_larger_datasets(tmp_path_factory, polytope):
+    """The same one-field mutations of the 120-cell and Gosset datasets,
+    a few examples each."""
+    @settings(max_examples=8, deadline=None)
+    @given(_mutated_dataset(polytope),
+           st.sampled_from(_FUZZ_COMMANDS[polytope]))
+    def check(doc, argv):
+        code = _exit_code(polytope, doc, argv, tmp_path_factory)
+        assert code in (0, 2, 3, 4, 5, 6)
+    check()
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from kspoly.contextuality import (Proof, SearchBudgetExceeded,
                                   incidence_nullspace_proofs, local_indices,
                                   proof_from_word, verify_parity_proof)
 from kspoly.raysystem import (ORBIT, Word, parse_word, ray_basis_symbol,
-                              ray_index, word_to_bases)
+                              ray_index, shift_position, word_to_bases)
 
 
 def word_proof(fixture, text):
@@ -382,7 +382,7 @@ def test_cdy_subproofs_fivefold_symmetric(cell120):
         if len(s.basis_indices) != 15:
             continue
         for bi in s.basis_indices:
-            shifted = frozenset(layout.shift_ray(r, 3)
+            shifted = frozenset(shift_position(r - 1, 3) + 1
                                 for r in table.bases[bi])
             assert basis_index[shifted] in s.basis_indices
 

@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 
 from kspoly import geometry, golden
 from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
-                             build_120cell_rays, coxeter_permutation,
-                             coxeter_projection, e8_rays, enumerate_bases,
-                             icosian_600cell, match_labeling, orbits,
+                             build_120cell_rays, coxeter_projection, e8_rays,
+                             enumerate_bases, icosian_600cell, match_labeling,
+                             orbits,
                              orthogonality_graph, pentadecagon_classes,
                              projection_to_csv, rigidity_demo,
                              rotates_by_one_step, saturated, scale_by_alpha)
 from kspoly.golden import (ALPHA, BETA, ZERO, canonical_sign, gvec, mul,
-                           phi_map, sign, value, vec_neg, vec_scale)
+                           phi_map, sign, value, vec_neg, vec_scale,
+                           vec_values)
 from kspoly.raysystem import shift_position
 
 
@@ -149,7 +150,7 @@ def test_600cell_counts(h4):
 def test_600cell_graph(h4):
     g = orthogonality_graph(h4)
     assert g.n_edges == 450
-    assert {g.degree(i) for i in range(60)} == {15}
+    assert {a.bit_count() for a in g.adjacency} == {15}
 
 
 def test_600cell_cliques(h4):
@@ -201,13 +202,13 @@ def test_e8_inner_products(e8):
     prods = set()
     for i in range(len(e8)):
         for j in range(i, len(e8)):
-            prods.add(e8.dot(i, j))
+            prods.add(golden.dot(e8.vectors[i], e8.vectors[j]))
     assert prods == {(-2, 0), (0, 0), (2, 0), (4, 0)}
 
 
 def test_e8_graph_regular(e8):
     g = orthogonality_graph(e8)
-    assert {g.degree(i) for i in range(len(e8))} == {63}
+    assert {a.bit_count() for a in g.adjacency} == {63}
     assert g.n_edges == 3780
 
 
@@ -232,7 +233,7 @@ def test_forward_orthogonality_preserved(h4):
         for j in range(i + 1, 60):
             checked += 1
             dot8 = sum(a * b for a, b in zip(images[i], images[j]))
-            if h4.is_orthogonal(i, j):
+            if golden.dot(h4.vectors[i], h4.vectors[j]) == ZERO:
                 assert dot8 == 0
             elif dot8 == 0:
                 witnesses += 1
@@ -286,8 +287,13 @@ def test_cliques_edgeless_graph():
 
 
 def test_single_ray_graph(h4):
-    one = RaySet("600cell", h4.vectors[:1])
-    assert orthogonality_graph(one).n_edges == 0
+    """One ray is no union of w's orbits, so it has no RaySet and no
+    graph; the one-vertex graph itself is edgeless and holds no basis."""
+    with pytest.raises(ValueError, match="orbits of fifteen"):
+        RaySet("600cell", h4.vectors[:1])
+    one = OrthoGraph(1, (0,))
+    assert one.n_edges == 0
+    assert enumerate_bases(one, 4) == []
 
 
 def test_cliques_complete_graph():
@@ -310,7 +316,7 @@ def _all_pairs_adjacency(rs):
     """The reference: every pair of rays tested with one exact product."""
     adj = [0] * len(rs)
     for i, j in itertools.combinations(range(len(rs)), 2):
-        if rs.is_orthogonal(i, j):
+        if golden.dot(rs.vectors[i], rs.vectors[j]) == ZERO:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return tuple(adj)
@@ -327,31 +333,53 @@ def test_orbits_partition_and_follow_perm(perm):
         assert [perm[x] for x in c] == c[1:] + c[:1]
 
 
+def _w_of_floats(v, roots):
+    """w applied in floating point: the simple reflections in order,
+    s(x) = x - (x.r / 2) r for roots r of squared norm 4."""
+    x = vec_values(v)
+    for r in map(vec_values, roots):
+        k = sum(a * b for a, b in zip(x, r)) / 2
+        x = [a - k * b for a, b in zip(x, r)]
+    return x
+
+
 def test_coxeter_permutation_orbits_are_pentadecagons(three):
-    """w has order 15 on the rays, and it turns the projection by one step
-    of 12 degrees, keeping every radius: its orbits are the pentadecagons."""
+    """w permutes the rays as the block shift σ: the simple reflections
+    carry ray i onto +-ray σ(i), σ has order 15 with every orbit of 15
+    rays, and it turns the projection by one step, keeping every radius."""
     for name, rs in three.items():
-        perm = coxeter_permutation(rs)
-        assert sorted(perm) == list(range(len(rs))), name
+        roots = geometry._SIMPLE_ROOTS[rs.dimension]
+        for i, v in enumerate(rs.vectors):
+            image = _w_of_floats(v, roots)
+            target = vec_values(rs.vectors[shift_position(i, 1)])
+            assert min(max(abs(a - s * b) for a, b in zip(image, target))
+                       for s in (1, -1)) < 1e-9, (name, i)
+        perm = [shift_position(i, 1) for i in range(len(rs))]
         power = list(range(len(rs)))
         for _ in range(15):
             power = [perm[x] for x in power]
         assert power == list(range(len(rs))), name
         assert {len(o) for o in orbits(perm)} == {15}, name
-        assert rotates_by_one_step(coxeter_projection(rs), perm), name
+        assert rotates_by_one_step(coxeter_projection(rs)), name
 
 
 def test_rays_numbered_round_w(three):
-    """The constructors number the rays round w's orbits, as the tables
-    number their pentadecagons, so w is the block shift σ; each orbit
-    starts at its least ray."""
+    """Every RaySet is numbered round w's orbits, as the tables number
+    their pentadecagons: each orbit starts at its least ray, and the
+    orbits are listed by their first rays."""
     for name, rs in three.items():
-        assert coxeter_permutation(rs) == tuple(
-            shift_position(i, 1) for i in range(len(rs))), name
         firsts = [rs.vectors[i] for i in range(0, len(rs), 15)]
         assert firsts == sorted(firsts), name
         assert all(rs.vectors[i] > rs.vectors[i - i % 15]
                    for i in range(len(rs)) if i % 15), name
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_rayset_numbering_ignores_input_order(three, data):
+    for rs in three.values():
+        shuffled = data.draw(st.permutations(rs.vectors))
+        assert RaySet(rs.polytope, tuple(shuffled)) == rs
 
 
 # simple-system Gram matrices at root norm 4, by dimension (H4, E8):
@@ -377,23 +405,49 @@ def test_simple_roots_realise_the_diagrams(h4, e8):
 
 
 def test_rotation_check_rejects_a_moved_angle_or_the_identity(h4):
-    proj, perm = coxeter_projection(h4), coxeter_permutation(h4)
-    assert rotates_by_one_step(proj, perm)
+    """σ fails the check on a projection with one angle moved, on one
+    where σ acts as the identity (each block's rows equal to its first),
+    and on the rays listed sorted, where σ is not w."""
+    proj = coxeter_projection(h4)
+    assert rotates_by_one_step(proj)
     r, a = proj[7]
     moved = proj[:7] + [(r, a + 0.01)] + proj[8:]
-    assert not rotates_by_one_step(moved, perm)
-    identity = tuple(range(len(h4)))
-    assert len(pentadecagon_classes(proj, identity)) == 60
-    assert not rotates_by_one_step(proj, identity)
+    assert not rotates_by_one_step(moved)
+    fixed = [proj[i - i % 15] for i in range(len(proj))]
+    assert len(pentadecagon_classes(fixed)) == 4
+    assert not rotates_by_one_step(fixed)
+    order = sorted(range(len(h4)), key=h4.vectors.__getitem__)
+    assert not rotates_by_one_step([proj[i] for i in order])
 
 
 def test_coxeter_permutation_identity_off_invariant_sets(h4):
-    assert coxeter_permutation(RaySet("600cell", h4.vectors[:1])) == (0,)
+    """Sets w does not map onto itself get no permutation, not the
+    identity: the one-ray set and the four unit vectors (whose
+    reflections leave the golden ring) are refused, and so is a
+    reflection that would leave the ring."""
+    halves = (gvec(0, 0, 0, 1), gvec(0, 0, 1, 0), gvec(0, 1, 0, 0),
+              gvec(1, 0, 0, 0))
+    for vectors, match in ((h4.vectors[:1], "orbits of fifteen"),
+                           (halves, "golden ring")):
+        with pytest.raises(ValueError, match=match):
+            RaySet("600cell", vectors)
     with pytest.raises(ValueError, match="golden ring"):
         geometry._reflect(gvec(1, 0, 0, 0), gvec(1, 1, 1, 1))
-    halves = RaySet("600cell", (gvec(0, 0, 0, 1), gvec(0, 0, 1, 0),
-                                gvec(0, 1, 0, 0), gvec(1, 0, 0, 0)))
-    assert coxeter_permutation(halves) == (0, 1, 2, 3)
+
+
+def test_rayset_needs_w_orbits_of_fifteen(h4, monkeypatch):
+    """A RaySet refuses what w cannot number in orbits of fifteen: a
+    repeated ray, no rays, a dimension with no simple system, and, under
+    a simple system whose w is -1, the 600-cell itself."""
+    for vectors, match in ((h4.vectors + h4.vectors[:1], "repeated"),
+                           ((), "at least one ray"),
+                           ((gvec(2, 0, 0),), "dimension 3")):
+        with pytest.raises(ValueError, match=match):
+            RaySet("600cell", vectors)
+    minus_one = [gvec(*(2 * (i == j) for j in range(4))) for i in range(4)]
+    monkeypatch.setitem(geometry._SIMPLE_ROOTS, 4, minus_one)
+    with pytest.raises(ValueError, match="orbits of fifteen"):
+        RaySet("600cell", h4.vectors)
 
 
 def test_transported_graph_matches_all_pairs(three, h4):
@@ -413,8 +467,8 @@ def test_transported_cliques_match_identity(three):
 
 
 def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
-    """Transport takes at most a fifth of the 44,850 all-pairs products,
-    the permutation and its simple system included."""
+    """Transport takes 3,130 of the 44,850 all-pairs products: w is σ on
+    the ids, so building the graph applies no reflection."""
     calls = 0
     dot = golden.dot
 
@@ -425,7 +479,7 @@ def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
 
     monkeypatch.setattr(golden, "dot", counting)
     assert orthogonality_graph(cell120_rays).n_edges == 4050
-    assert 0 < calls <= 44_850 // 5
+    assert calls == 3_130
 
 
 def test_orthograph_symmetry_must_be_a_permutation():
@@ -474,8 +528,8 @@ def test_transported_cliques_once_each(case):
 
 def test_projection_600cell(h4, cell600):
     layout, *_ = cell600
-    proj, perm = coxeter_projection(h4), coxeter_permutation(h4)
-    classes = pentadecagon_classes(proj, perm)
+    proj = coxeter_projection(h4)
+    classes = pentadecagon_classes(proj)
     assert len(classes) == 4
     radii = [r for r, _ in classes]
     assert abs(radii[0] - 1.0) < 1e-12
@@ -484,13 +538,13 @@ def test_projection_600cell(h4, cell600):
         assert abs(got - want) < 5e-4
     for _r, members in classes:
         assert len(members) == 15
-    assert rotates_by_one_step(proj, perm)
+    assert rotates_by_one_step(proj)
 
 
 def test_projection_gosset(e8, gosset):
     layout, *_ = gosset
-    proj, perm = coxeter_projection(e8), coxeter_permutation(e8)
-    classes = pentadecagon_classes(proj, perm)
+    proj = coxeter_projection(e8)
+    classes = pentadecagon_classes(proj)
     assert len(classes) == 8
     radii = [r for r, _ in classes]
     table_radii = sorted((p.radius for p in layout.pentadecagons),
@@ -504,14 +558,13 @@ def test_projection_gosset(e8, gosset):
         assert abs(got - want) < 5e-4
     for _r, members in classes:
         assert len(members) == 15
-    assert rotates_by_one_step(proj, perm)
+    assert rotates_by_one_step(proj)
 
 
 def test_projection_120cell(cell120_rays, cell120):
     layout, *_ = cell120
     proj = coxeter_projection(cell120_rays)
-    perm = coxeter_permutation(cell120_rays)
-    classes = pentadecagon_classes(proj, perm)
+    classes = pentadecagon_classes(proj)
     assert len(classes) == 20
     got = sorted((round(r, 4) for r, _ in classes), reverse=True)
     want = sorted((p.radius for p in layout.pentadecagons), reverse=True)
@@ -519,7 +572,7 @@ def test_projection_120cell(cell120_rays, cell120):
         assert abs(g_ - w_) < 5e-4
     for _r, members in classes:
         assert len(members) == 15
-    assert rotates_by_one_step(proj, perm)
+    assert rotates_by_one_step(proj)
 
 
 def test_projection_normalised(h4):
@@ -530,7 +583,7 @@ def test_projection_normalised(h4):
 def test_projection_spacing_tolerance(h4):
     """Angle residues within each ring agree to far below a microdegree."""
     proj = coxeter_projection(h4)
-    for _r, members in pentadecagon_classes(proj, coxeter_permutation(h4)):
+    for _r, members in pentadecagon_classes(proj):
         residue = proj[members[0]][1] % 12.0
         for i in members:
             delta = abs(proj[i][1] % 12.0 - residue)
@@ -605,11 +658,10 @@ def test_match_is_equivariant(three, polytopes):
     table basis."""
     for name, rs in three.items():
         table = polytopes[name][2]
-        perm = coxeter_permutation(rs)
         computed = enumerate_bases(orthogonality_graph(rs), rs.dimension)
         mapping = match_labeling(computed, table)
-        assert all(mapping[perm[x]] - 1 == shift_position(mapping[x] - 1, 1)
-                   for x in mapping), name
+        assert all(mapping[shift_position(x, 1)] - 1
+                   == shift_position(mapping[x] - 1, 1) for x in mapping), name
         targets = set(table.bases)
         assert all(tuple(sorted(mapping[r] for r in b)) in targets
                    for b in computed), name
@@ -629,11 +681,14 @@ def test_match_finds_a_power_of_the_wraparound():
 
 
 def test_match_rejects_rays_not_numbered_round_w(h4, cell600):
-    """The sorted 600-cell has the same bases, but the block shift of its
-    ray ids is not w, so no equivariant bijection exists."""
+    """The 600-cell's bases relabelled by the sorted order of the vectors
+    are the same hypergraph, but σ on the new ids is not w, so no
+    equivariant bijection exists."""
     *_a, table, _pm, _spec = cell600
-    unnumbered = RaySet("600cell", tuple(sorted(h4.vectors)))
-    computed = enumerate_bases(orthogonality_graph(unnumbered), 4)
+    order = sorted(range(len(h4)), key=h4.vectors.__getitem__)
+    rank = {x: i for i, x in enumerate(order)}
+    computed = sorted(tuple(sorted(rank[r] for r in b))
+                      for b in enumerate_bases(orthogonality_graph(h4), 4))
     with pytest.raises(MatchError):
         match_labeling(computed, table)
 

@@ -2,6 +2,7 @@
 word enumeration/minimality."""
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 from kspoly import gf2
 from kspoly.gf2 import (BitMatrix, EnumerationLimitError, WeightDistribution,
                         WeightTransformError, _eliminate, _kernel_rows,
-                        dual_weight_distribution,
-                        enumerate_code_weights, enumerate_low_weight,
+                        dual_weight_distribution, enumerate_low_weight,
                         enumerate_words, gf2_nullspace, in_nullspace,
                         is_minimal_word, macwilliams_transform,
                         minimality_bound, odd_weight_total,
@@ -151,11 +151,16 @@ def test_krawtchouk_values():
             assert row == [krawtchouk(n, w, wd) for w in range(n + 1)]
 
 
+def enumerated_weights(spec):
+    """The nullspace code's weights by direct enumeration (exponential)."""
+    return Counter(map(int.bit_count, span(spec.nullspace_basis)))
+
+
 def test_macwilliams_600cell_against_enumeration(cell600):
     *_x, pm, spec = cell600
     m2 = profile_matrix_mod2(pm)
     dist = macwilliams_transform(dual_weight_distribution(m2), spec.n)
-    assert dist.counts == enumerate_code_weights(spec).counts
+    assert dist.counts == enumerated_weights(spec)
     assert dist.counts == {0: 1, 1: 2, 2: 4, 3: 6, 4: 3}
     assert odd_weight_total(dist) == 8
 
@@ -187,7 +192,7 @@ def test_macwilliams_random_cross_validation():
         m = random_matrix(rng, max_rows=8, max_cols=16)
         spec = gf2_nullspace(m)
         dist = macwilliams_transform(dual_weight_distribution(m), m.n_cols)
-        assert dist.counts == enumerate_code_weights(spec).counts
+        assert dist.counts == enumerated_weights(spec)
         done += 1
 
 

@@ -8,8 +8,9 @@ from kspoly.raysystem import (Generator, Pentadecagon, PentadecagonLayout,
                               RayBasisSymbol, Word, basis_profile,
                               build_basis_table,
                               expand_orbit, parse_word,
-                              ray_basis_symbol, symbol_from_word,
-                              table_to_csv, table_to_json, word_to_bases)
+                              ray_basis_symbol, shift_position,
+                              symbol_from_word, table_to_csv, table_to_json,
+                              word_to_bases)
 
 
 def gen_of(gens, label):
@@ -44,12 +45,11 @@ def test_layout_rejects_duplicate_labels():
             Pentadecagon("A", 16, 30, 0.8, 6.0)))
 
 
-def test_shift_ray_wraps_inside_pentadecagon(cell600):
-    layout = cell600[0]
-    assert layout.shift_ray(15, 1) == 1
-    assert layout.shift_ray(16, 1) == 17
-    assert layout.shift_ray(30, 1) == 16
-    assert layout.shift_ray(5, 11) == 1
+def test_shift_ray_wraps_inside_pentadecagon():
+    assert shift_position(14, 1) == 0
+    assert shift_position(15, 1) == 16
+    assert shift_position(29, 1) == 15
+    assert shift_position(4, 11) == 0
 
 
 # --------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_expand_orbit_matches_shift_ray(polytopes):
         for g in gens:
             for s in range(15):
                 assert expand_orbit(g, layout, s) == tuple(
-                    sorted(layout.shift_ray(r, s) for r in g.rays))
+                    sorted(shift_position(r - 1, s) + 1 for r in g.rays))
 
 
 def test_expand_orbit_rejects_rays_out_of_range(cell600):
