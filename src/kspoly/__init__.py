@@ -19,8 +19,7 @@ from .contextuality import (ParityCertificate, Proof, find_ks_assignment,
                             proof_from_word, verify_parity_proof)
 from .geometry import (RaySet, build_120cell_rays, coxeter_projection,
                        e8_rays, enumerate_bases, icosian_600cell,
-                       match_labeling, orthogonality_graph, rigidity_demo,
-                       scale_by_alpha)
+                       match_labeling, orthogonality_graph, rigidity_demo)
 from .golden import ALPHA, BETA, phi_map
 
 __version__ = "0.1.0"

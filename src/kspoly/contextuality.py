@@ -11,9 +11,9 @@ of its GF(2) nullspace is an embedded sub-proof.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .gf2 import BitMatrix, _support, gf2_nullspace, span
 from .raysystem import (ORBIT, Basis, BasisTable, Word, ray_index,
@@ -28,30 +28,30 @@ class SearchBudgetExceeded(RuntimeError):
     """The backtracking search ran out of its node budget."""
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(namedtuple("Proof", "table basis_indices")):
     """A selection of bases out of a basis table (0-based indices)."""
 
-    table: BasisTable
-    basis_indices: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.basis_indices:
+    def __new__(cls, table: BasisTable, basis_indices: frozenset[int]
+                ) -> Proof:
+        if not basis_indices:
             raise ValueError("a proof needs at least one basis")
-        n = len(self.table.bases)
-        if any(not 0 <= i < n for i in self.basis_indices):
+        n = len(table.bases)
+        if any(not 0 <= i < n for i in basis_indices):
             raise ValueError("basis index out of table range")
+        return super().__new__(cls, table, basis_indices)
 
     def bases(self) -> list[Basis]:
-        return [self.table.bases[i] for i in sorted(self.basis_indices)]
+        bases = self.table.bases
+        return [bases[i] for i in sorted(self.basis_indices)]
 
 
 def proof_from_word(w: Word, table: BasisTable) -> Proof:
     return Proof(table, word_to_bases(w, table))
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(NamedTuple):
     valid: bool
     basis_count: int
     ray_occurrences: Mapping[int, int]
@@ -240,8 +240,7 @@ def _rotation_step(rays: tuple[int, ...], masks: list[int]) -> int:
 # decomposition into embedded sub-proofs
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     proofs: tuple[Proof, ...]
     truncated: bool
     nullity: int

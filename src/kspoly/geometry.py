@@ -31,8 +31,8 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import golden
 from .gf2 import EnumerationLimitError, _support
@@ -83,8 +83,7 @@ def _reflect(v: GoldenVector, root: GoldenVector) -> GoldenVector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RaySet:
+class RaySet(namedtuple("RaySet", "polytope vectors")):
     """One representative golden vector per antipodal pair of polytope
     vertices, sign-canonical (first nonzero coordinate positive), numbered
     round the orbits of w.
@@ -99,17 +98,18 @@ class RaySet:
     not mapped onto itself by w in orbits of fifteen.
     """
 
-    polytope: str
-    vectors: tuple[GoldenVector, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.vectors:
+    def __new__(cls, polytope: str,
+                vectors: tuple[GoldenVector, ...]) -> RaySet:
+        if not vectors:
             raise ValueError("a ray set needs at least one ray")
-        simple = _SIMPLE_ROOTS.get(self.dimension)
+        dimension = len(vectors[0])
+        simple = _SIMPLE_ROOTS.get(dimension)
         if simple is None:
-            raise ValueError(f"no simple system in dimension {self.dimension}")
-        left = set(self.vectors)
-        if len(left) != len(self.vectors):
+            raise ValueError(f"no simple system in dimension {dimension}")
+        left = set(vectors)
+        if len(left) != len(vectors):
             raise ValueError("a ray is repeated")
         numbered: list[GoldenVector] = []
         for v in sorted(left):
@@ -125,7 +125,7 @@ class RaySet:
             if v != numbered[start] or len(numbered) - start != ORBIT:
                 raise ValueError("w does not map the rays onto themselves "
                                  "in orbits of fifteen")
-        object.__setattr__(self, "vectors", tuple(numbered))
+        return super().__new__(cls, polytope, tuple(numbered))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -183,12 +183,6 @@ def icosian_600cell() -> RaySet:
     return RaySet("600cell", tuple(rays))
 
 
-def scale_by_alpha(rs: RaySet) -> RaySet:
-    """Coordinatewise multiplication by a (the second, scaled 600-cell)."""
-    rays = tuple(canonical_sign(vec_scale(ALPHA, v)) for v in rs.vectors)
-    return RaySet(rs.polytope, rays)
-
-
 def e8_rays() -> RaySet:
     """The 120 rays (240 roots) of E8 as the coordinate-map image of the
     two concentric 600-cells, as golden vectors with integer entries."""
@@ -233,22 +227,21 @@ def build_120cell_rays() -> RaySet:
 # orthogonality graphs and clique bases
 
 
-@dataclass(frozen=True)
-class OrthoGraph:
-    """A graph on vertices 0..n-1, with a vertex permutation that maps
-    edges to edges (`symmetry`, the identity when not given); clique
-    enumeration relies on it."""
+class OrthoGraph(namedtuple("OrthoGraph", "n adjacency symmetry")):
+    """A graph on vertices 0..n-1, its adjacency a tuple of neighbour
+    bitsets, with a vertex permutation that maps edges to edges
+    (`symmetry`, the identity when not given); clique enumeration relies
+    on it."""
 
-    n: int
-    adjacency: tuple[int, ...]  # vertex -> neighbor bitset
-    symmetry: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        perm = self.symmetry
-        if perm is None:
-            object.__setattr__(self, "symmetry", perm := tuple(range(self.n)))
-        if sorted(perm) != list(range(self.n)):
+    def __new__(cls, n: int, adjacency: tuple[int, ...],
+                symmetry: tuple[int, ...] | None = None) -> OrthoGraph:
+        if symmetry is None:
+            symmetry = tuple(range(n))
+        if sorted(symmetry) != list(range(n)):
             raise ValueError("symmetry is not a permutation of the vertices")
+        return super().__new__(cls, n, adjacency, symmetry)
 
     @property
     def n_edges(self) -> int:
@@ -608,15 +601,13 @@ def match_labeling(computed: Sequence[Basis],
 # the non-rigidity demonstration
 
 
-@dataclass(frozen=True)
-class RigidityClaim:
+class RigidityClaim(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     claims: tuple[RigidityClaim, ...]
 
     @property

@@ -7,8 +7,7 @@ the 135-column code), and no floating point appears anywhere in this module.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate, combinations
 from math import comb
 from operator import sub
@@ -37,17 +36,16 @@ class WeightTransformError(ArithmeticError):
 # bit matrices
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    n_rows: int
-    n_cols: int
-    rows: tuple[int, ...]
+class BitMatrix(namedtuple("BitMatrix", "n_rows n_cols rows")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.n_rows:
+    def __new__(cls, n_rows: int, n_cols: int,
+                rows: tuple[int, ...]) -> BitMatrix:
+        if len(rows) != n_rows:
             raise ValueError("row count mismatch")
-        if any(r < 0 or r >> self.n_cols for r in self.rows):
+        if any(r < 0 or r >> n_cols for r in rows):
             raise ValueError("row has bits outside the column range")
+        return super().__new__(cls, n_rows, n_cols, rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
@@ -94,20 +92,18 @@ def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return [low.bit_length() - 1 for low in lows], reduced
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(namedtuple("CodeSpec", "n k nullspace_basis labels")):
     """A binary linear code given by a basis of the nullspace {X: MX=0}."""
 
-    n: int
-    k: int
-    nullspace_basis: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k != len(self.nullspace_basis):
+    def __new__(cls, n: int, k: int, nullspace_basis: tuple[int, ...],
+                labels: tuple[str, ...] | None = None) -> CodeSpec:
+        if k != len(nullspace_basis):
             raise ValueError("k != number of basis vectors")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise ValueError("labels length != n")
+        return super().__new__(cls, n, k, nullspace_basis, labels)
 
 
 def gf2_nullspace(m: BitMatrix,
@@ -155,15 +151,15 @@ def nullspace_of_profiles(pm: ProfileMatrix) -> CodeSpec:
 # weight distributions
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(namedtuple("WeightDistribution", "counts")):
     """Exact codeword counts per Hamming weight (zero weights omitted)."""
 
-    counts: dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(w < 0 or c < 0 for w, c in self.counts.items()):
+    def __new__(cls, counts: dict[int, int]) -> WeightDistribution:
+        if any(w < 0 or c < 0 for w, c in counts.items()):
             raise ValueError("negative weight or count")
+        return super().__new__(cls, counts)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -273,12 +269,13 @@ def enumerate_low_weight(spec: CodeSpec, max_weight: int,
         raise EnumerationLimitError(
             f"{work} candidate combinations exceed the work budget "
             f"{ENUMERATION_BUDGET}")
+    basis = spec.nullspace_basis
     found: list[int] = []
     for t in range(0, max_weight + 1):
         for combo in combinations(range(spec.k), t):
             v = 0
             for i in combo:
-                v ^= spec.nullspace_basis[i]
+                v ^= basis[i]
             w = v.bit_count()
             if w <= max_weight and _parity_ok(w, parity):
                 found.append(v)

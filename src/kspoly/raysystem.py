@@ -15,10 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 POLYTOPES = ("600cell", "120cell", "gosset")
 ORBIT = 15  # bases per generator = rays per pentadecagon
@@ -30,8 +29,7 @@ Basis = tuple[int, ...]
 # layouts
 
 
-@dataclass(frozen=True)
-class Pentadecagon:
+class Pentadecagon(NamedTuple):
     """One ring of fifteen rays: id range [lo, hi] at a radius/start angle."""
 
     label: str
@@ -41,28 +39,29 @@ class Pentadecagon:
     angle_deg: float
 
 
-@dataclass(frozen=True)
-class PentadecagonLayout:
+class PentadecagonLayout(namedtuple("PentadecagonLayout",
+                                    "polytope dimension pentadecagons")):
     """The ray-numbering scheme of one polytope."""
 
-    polytope: str
-    dimension: int
-    pentadecagons: tuple[Pentadecagon, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.polytope not in POLYTOPES:
-            raise ValueError(f"unknown polytope {self.polytope!r}")
-        if not self.pentadecagons:
+    def __new__(cls, polytope: str, dimension: int,
+                pentadecagons: tuple[Pentadecagon, ...]
+                ) -> PentadecagonLayout:
+        if polytope not in POLYTOPES:
+            raise ValueError(f"unknown polytope {polytope!r}")
+        if not pentadecagons:
             raise ValueError("a layout needs at least one pentadecagon")
-        labels = [p.label for p in self.pentadecagons]
+        labels = [p.label for p in pentadecagons]
         if len(set(labels)) != len(labels):
             raise ValueError("pentadecagon labels are not unique")
         expect_lo = 1
-        for p in self.pentadecagons:
+        for p in pentadecagons:
             if p.lo != expect_lo or p.hi != p.lo + ORBIT - 1:
                 raise ValueError(f"pentadecagon {p.label} does not span "
                                  f"15 consecutive ids starting at {expect_lo}")
             expect_lo = p.hi + 1
+        return super().__new__(cls, polytope, dimension, pentadecagons)
 
     @property
     def n_rays(self) -> int:
@@ -82,18 +81,17 @@ class PentadecagonLayout:
 # generators and basis tables
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "label rays")):
     """A representative basis: a letter label plus d sorted ray ids."""
 
-    label: str
-    rays: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if list(self.rays) != sorted(set(self.rays)):
-            raise ValueError(f"generator {self.label}: rays must be "
+    def __new__(cls, label: str, rays: tuple[int, ...]) -> Generator:
+        if list(rays) != sorted(set(rays)):
+            raise ValueError(f"generator {label}: rays must be "
                              "strictly increasing and distinct")
-        parse_letter(self.label)
+        parse_letter(label)
+        return super().__new__(cls, label, rays)
 
 
 def check_generators(layout: PentadecagonLayout,
@@ -134,8 +132,7 @@ def expand_orbit(gen: Generator, layout: PentadecagonLayout,
                         for r in rays))
 
 
-@dataclass(frozen=True)
-class BasisTable:
+class BasisTable(NamedTuple):
     """All bases of a polytope in generator-major, shift-minor order."""
 
     layout: PentadecagonLayout
@@ -197,20 +194,21 @@ def basis_profile(basis: Iterable[int], layout: PentadecagonLayout) -> str:
     return "".join(lab for _, lab in labels)
 
 
-@dataclass(frozen=True)
-class ProfileMatrix:
-    """Pentadecagon-by-generator occurrence counts (the counting matrix)."""
+class ProfileMatrix(namedtuple("ProfileMatrix",
+                               "row_labels col_labels entries")):
+    """Pentadecagon-by-generator occurrence counts (the counting matrix):
+    row and column labels, and the entries as a tuple of rows."""
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]  # rows
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = sum(row[0] for row in self.entries)
-        for j in range(len(self.col_labels)):
-            if sum(row[j] for row in self.entries) != d:
+    def __new__(cls, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
+                entries: tuple[tuple[int, ...], ...]) -> ProfileMatrix:
+        d = sum(row[0] for row in entries)
+        for j in range(len(col_labels)):
+            if sum(row[j] for row in entries) != d:
                 raise ValueError("profile-matrix columns do not all sum "
                                  "to the basis size")
+        return super().__new__(cls, row_labels, col_labels, entries)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -223,10 +221,11 @@ class ProfileMatrix:
 def build_profile_matrix(layout: PentadecagonLayout,
                          generators: Sequence[Generator]) -> ProfileMatrix:
     check_generators(layout, generators)
+    rays = [g.rays for g in generators]
     rows = []
     for p in layout.pentadecagons:
-        rows.append(tuple(sum(1 for r in g.rays if p.lo <= r <= p.hi)
-                          for g in generators))
+        lo, hi = p.lo, p.hi
+        rows.append(tuple(sum(1 for r in g if lo <= r <= hi) for g in rays))
     return ProfileMatrix(layout.labels,
                          tuple(g.label for g in generators), tuple(rows))
 
@@ -246,18 +245,18 @@ def parse_letter(token: str) -> tuple[int, str, int]:
     return (1 if m.group(2) else 0, m.group(1), int(m.group(3) or 0))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "letters polytope")):
     """A set of distinct generator letters, optionally tagged by polytope."""
 
-    letters: frozenset[str]
-    polytope: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for tok in self.letters:
+    def __new__(cls, letters: frozenset[str],
+                polytope: str | None = None) -> Word:
+        for tok in letters:
             parse_letter(tok)
-        if self.polytope is not None and self.polytope not in POLYTOPES:
-            raise ValueError(f"unknown polytope {self.polytope!r}")
+        if polytope is not None and polytope not in POLYTOPES:
+            raise ValueError(f"unknown polytope {polytope!r}")
+        return super().__new__(cls, letters, polytope)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -319,29 +318,29 @@ def word_to_bases(w: Word, table: BasisTable) -> frozenset[int]:
 # ray-basis symbols
 
 
-@dataclass(frozen=True)
-class RayBasisSymbol:
+class RayBasisSymbol(namedtuple("RayBasisSymbol",
+                                "ray_terms basis_count basis_size")):
     """Occurrence census of a basis set: e.g. 150_2 30_4-105_4.
 
     ray_terms lists (multiplicity, ray_count) sorted by multiplicity; the
     right-hand term is the basis count subscripted by the basis size.
     """
 
-    ray_terms: tuple[tuple[int, int], ...]
-    basis_count: int
-    basis_size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.basis_count <= 0:
+    def __new__(cls, ray_terms: tuple[tuple[int, int], ...],
+                basis_count: int, basis_size: int) -> RayBasisSymbol:
+        if basis_count <= 0:
             raise ValueError("symbol needs a positive basis count")
-        mass = sum(mult * rays for mult, rays in self.ray_terms)
-        if mass != self.basis_size * self.basis_count:
+        mass = sum(mult * rays for mult, rays in ray_terms)
+        if mass != basis_size * basis_count:
             raise ValueError(f"symbol mass {mass} != "
-                             f"{self.basis_size}*{self.basis_count}")
-        if list(self.ray_terms) != sorted(self.ray_terms):
+                             f"{basis_size}*{basis_count}")
+        if list(ray_terms) != sorted(ray_terms):
             raise ValueError("ray terms must be sorted by multiplicity")
-        if any(rays <= 0 or mult <= 0 for mult, rays in self.ray_terms):
+        if any(rays <= 0 or mult <= 0 for mult, rays in ray_terms):
             raise ValueError("ray terms must be positive")
+        return super().__new__(cls, ray_terms, basis_count, basis_size)
 
     def __str__(self) -> str:
         left = " ".join(f"{rays}_{mult}" for mult, rays in self.ray_terms)

@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kspoly
 from kspoly.cli import main
 from kspoly.datasets import data_text
 
@@ -593,3 +598,19 @@ def test_geometry_match_budget_exit6(capsys, monkeypatch):
     assert code == 6
     assert captured.out == ""
     assert captured.err == "kspoly: isomorphism search exceeded 1 nodes\n"
+
+
+# --------------------------------------------------------------------------
+# start-up
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    """The records are named tuples, so starting the CLI loads neither
+    `dataclasses` nor the `inspect` it pulls in.  A fresh interpreter runs
+    with -S, so that no site .pth file can load them either."""
+    probe = ("import kspoly.cli, sys\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(kspoly.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

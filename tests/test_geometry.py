@@ -18,7 +18,7 @@ from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
                              orbits,
                              orthogonality_graph, pentadecagon_classes,
                              projection_to_csv, rigidity_demo,
-                             rotates_by_one_step, saturated, scale_by_alpha)
+                             rotates_by_one_step, saturated)
 from kspoly.golden import (ALPHA, BETA, ZERO, canonical_sign, gvec, mul,
                            phi_map, sign, value, vec_neg, vec_scale,
                            vec_values)
@@ -163,6 +163,12 @@ def test_600cell_cliques(h4):
             occ[r] = occ.get(r, 0) + 1
     assert set(occ.values()) == {5}
     assert saturated(g, bases)
+
+
+def scale_by_alpha(rs):
+    """Coordinatewise multiplication by a: the second, scaled 600-cell."""
+    return RaySet(rs.polytope, tuple(canonical_sign(vec_scale(ALPHA, v))
+                                     for v in rs.vectors))
 
 
 def test_scale_by_alpha(h4):
