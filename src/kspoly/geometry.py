@@ -5,18 +5,19 @@ under the 192-element group of even coordinate permutations and arbitrary
 sign changes; doubling it by the a-scaling and applying the coordinate map
 (m + n*a) -> (m, n) yields the 240 roots of E8 (Gosset's polytope).  The
 120-cell is derived as the 600-cell's cell centers, with no coordinate
-file.  Bases are recovered with no reference to the numbered tables, as
+file: its cells are the 4-cliques of the 600-cell's rays 36 or 144 degrees
+apart.  Bases are recovered with no reference to the numbered tables, as
 d-cliques of the exact orthogonality graph.
 
 The Coxeter element w, the product of the simple reflections, runs once,
 exactly, when a RaySet is built: its rays are numbered round w's orbits,
 fifteen ids per orbit, the way the tables number their pentadecagons.  So
-w is the tables' wraparound σ on the ids of every RaySet, and nothing
-downstream computes it: the orthogonality graph is built from one ray per
-block of fifteen, each row carried round its block by σ, the clique walk
-starts only from one ray per block, and the pentadecagon classes are the
-blocks.  A table is then validated by an equivariant match: a ray
-bijection that carries bases to bases and turns w into σ.
+w is the tables' wraparound σ on every RaySet's ids, nothing downstream
+computes it, and σ is the one symmetry any graph here has: each graph is
+built from one ray per block of fifteen, each row carried round its block
+by σ, the clique walk starts only from one ray per block, and the
+pentadecagon classes are the blocks.  A table is then validated by an
+equivariant match: a bijection carrying bases to bases and w to σ.
 The triacontagonal (Coxeter-plane) projection applies w only through the
 same exact reflections: the plane is spanned by the cos/sin-weighted sums of
 w's 30 exact powers of 2e_0.  The only floating point left is those two
@@ -204,22 +205,29 @@ def e8_rays() -> RaySet:
 def build_120cell_rays() -> RaySet:
     """The 300 rays of the 120-cell, derived as cell centers of the 600-cell.
 
-    The 600 tetrahedral cells are the 4-cliques of the nearest-neighbour
-    graph (vertex inner product 2*phi = 2 - 2a at radius 2); each center is
-    the exact golden sum of its four vertices, which leaves the rays in the
+    Neighbouring vertices have inner product 2*phi = 2 - 2a (36 degrees at
+    radius 2), so each 4-clique of the rays at +-(2 - 2a) is one antipodal
+    pair of the 600 tetrahedral cells.  The cell through the clique's first
+    ray r takes each other ray with the sign that puts it 36 degrees from
+    r: two such vertices are at most 72 degrees apart, never 144.  Each
+    center, the exact golden sum of the four vertices, stays in the
     icosian frame of the 600-cell.
     """
-    h4 = icosian_600cell()
-    verts = [v for u in h4.vectors for v in (u, vec_neg(u))]
-    cells = enumerate_bases(
-        _graph(verts, (2, -2), tuple(range(len(verts)))), 4)
-    if len(cells) != 600:
-        raise RuntimeError(f"expected 600 cells, found {len(cells)}")
-    centers = {canonical_sign(tuple(
-        (sum(verts[x][t][0] for x in cell), sum(verts[x][t][1] for x in cell))
-        for t in range(4))) for cell in cells}
+    h4 = icosian_600cell().vectors
+    near = (2, -2)
+    cells = enumerate_bases(_graph(h4, near), 4)
+    if len(cells) != 300:
+        raise RuntimeError(f"expected 300 cell pairs, found {len(cells)}")
+    centers = set()
+    for r, *others in cells:
+        u = h4[r]
+        cell = [u] + [v if golden.dot(u, v) == near else vec_neg(v)
+                      for v in (h4[x] for x in others)]
+        centers.add(canonical_sign(tuple(
+            (sum(v[t][0] for v in cell), sum(v[t][1] for v in cell))
+            for t in range(4))))
     if len(centers) != 300:
-        raise RuntimeError("cell centers did not merge to 300 rays")
+        raise RuntimeError("cell centers did not give 300 rays")
     return RaySet("120cell", tuple(centers))
 
 
@@ -227,21 +235,19 @@ def build_120cell_rays() -> RaySet:
 # orthogonality graphs and clique bases
 
 
-class OrthoGraph(namedtuple("OrthoGraph", "n adjacency symmetry")):
+class OrthoGraph(namedtuple("OrthoGraph", "n adjacency")):
     """A graph on vertices 0..n-1, its adjacency a tuple of neighbour
-    bitsets, with a vertex permutation that maps edges to edges
-    (`symmetry`, the identity when not given); clique enumeration relies
-    on it."""
+    bitsets, that the block shift σ (`shift_position`) maps onto itself:
+    adj(σx) = σ(adj x).  Every graph built here is on a RaySet's ids,
+    where σ is w, so it is; clique enumeration relies on it.  ValueError
+    when n is not a multiple of fifteen."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, adjacency: tuple[int, ...],
-                symmetry: tuple[int, ...] | None = None) -> OrthoGraph:
-        if symmetry is None:
-            symmetry = tuple(range(n))
-        if sorted(symmetry) != list(range(n)):
-            raise ValueError("symmetry is not a permutation of the vertices")
-        return super().__new__(cls, n, adjacency, symmetry)
+    def __new__(cls, n: int, adjacency: tuple[int, ...]) -> OrthoGraph:
+        if n % ORBIT:
+            raise ValueError(f"{n} vertices do not fall in blocks of fifteen")
+        return super().__new__(cls, n, adjacency)
 
     @property
     def n_edges(self) -> int:
@@ -258,62 +264,41 @@ def _permute(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-def orbits(perm: Sequence[int]) -> list[list[int]]:
-    """The cycles of a permutation of 0..n-1 in order of their least
-    element, each starting there and following perm."""
-    seen = [False] * len(perm)
-    out = []
-    for r in range(len(perm)):
-        if seen[r]:
-            continue
-        orbit, x = [r], perm[r]
-        while x != r:
-            orbit.append(x)
-            x = perm[x]
-        for x in orbit:
-            seen[x] = True
-        out.append(orbit)
-    return out
+def _graph(vectors: Sequence[GoldenVector], value: Golden) -> OrthoGraph:
+    """The graph joining two rays of a RaySet when their inner product is
+    +-`value`.  σ, which is w on the ids, preserves that relation, since w
+    is orthogonal and the rays are sign representatives.
 
-
-def _graph(vectors: Sequence[GoldenVector], value: Golden,
-           perm: Sequence[int]) -> OrthoGraph:
-    """The graph joining two vectors when their inner product is `value`,
-    given a vertex permutation that preserves that relation.
-
-    Exact products are taken only from the least vertex r of each orbit,
-    against the vertices whose rows are not yet known; the rows known
+    Exact products are taken only from the first ray r of each block of
+    fifteen, against the rays whose rows are not yet known; the rows known
     already supply the rest of r's row.  The row then travels round the
-    orbit: adj(perm x) = perm(adj x).  Under the identity every orbit is
-    one vertex and each pair is tested once.
+    block: adj(σx) = σ(adj x).
     """
     n = len(vectors)
+    sigma = [shift_position(i, 1) for i in range(n)]
     adj = [0] * n
     unknown = (1 << n) - 1  # the vertices whose rows are not yet known
-    dot = golden.dot
-    for orbit in orbits(perm):
-        r = orbit[0]
+    dot, values = golden.dot, (value, (-value[0], -value[1]))
+    for r in range(0, n, ORBIT):
         u, row, bit = vectors[r], adj[r], 1 << r
         unknown ^= bit
         for j in _support(unknown):
-            if dot(u, vectors[j]) == value:
+            if dot(u, vectors[j]) in values:
                 row |= 1 << j
                 adj[j] |= bit
         adj[r] = row
-        for x in orbit[1:]:
+        for x in range(r + 1, r + ORBIT):
             unknown ^= 1 << x
-            adj[x] = row = _permute(row, perm)
+            adj[x] = row = _permute(row, sigma)
             for y in _support(row & unknown):
                 adj[y] |= 1 << x
-    return OrthoGraph(n, tuple(adj), tuple(perm))
+    return OrthoGraph(n, tuple(adj))
 
 
 def orthogonality_graph(rs: RaySet) -> OrthoGraph:
-    """The exact orthogonality graph, with w as its symmetry (σ on the
-    ids, since every RaySet is numbered round w), built by transport
-    along σ's blocks."""
-    return _graph(rs.vectors, ZERO,
-                  [shift_position(i, 1) for i in range(len(rs))])
+    """The exact orthogonality graph, built by transport along σ's
+    blocks."""
+    return _graph(rs.vectors, ZERO)
 
 
 def _basis_rows(n: int, bases: Iterable[Sequence[int]]) -> list[int]:
@@ -328,27 +313,17 @@ def _basis_rows(n: int, bases: Iterable[Sequence[int]]) -> list[int]:
     return [row & ~(1 << x) for x, row in enumerate(rows)]
 
 
-def graph_from_bases(bases: Iterable[Basis]
-                     ) -> tuple[tuple[int, ...], OrthoGraph]:
-    """Co-occurrence graph of a basis list, and the ray id of each vertex
-    (the rays that occur, sorted)."""
-    rays, cols = ray_index(bases)
-    return rays, OrthoGraph(len(rays), tuple(_basis_rows(len(rays), cols)))
-
-
 def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
     """All d-cliques of the graph, sorted, each exactly once.
 
-    The orbits of g.symmetry are taken in order of their least vertex.  A
-    clique whose first orbit is O holds some vertex of O, so a power of the
-    symmetry carries it onto a clique through O's least vertex r whose
-    other vertices lie in O or a later orbit.  Only those are walked, and
-    each is carried round r's orbit.  Under the identity this is the plain
-    walk from every vertex over the vertices above it.
+    A clique whose first block of fifteen is B holds some vertex of B, so
+    a power of σ carries it onto a clique through B's first vertex r whose
+    other vertices lie in B or a later block.  Only those are walked, and
+    each is carried round r's block by σ.
     """
     if d < 1:
         raise ValueError("clique size must be positive")
-    adj, perm = g.adjacency, g.symmetry
+    adj, sigma = g.adjacency, [shift_position(i, 1) for i in range(g.n)]
     out: list[tuple[int, ...]] = []
 
     def extend(clique: list[int], cand: int) -> None:
@@ -364,20 +339,17 @@ def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
             extend(clique, cand & adj[v])
             clique.pop()
 
-    rest = (1 << g.n) - 1  # the vertices of this orbit and the later ones
-    for orbit in orbits(perm):
-        # its least vertex r is the least of rest, so every clique walked
-        # is sorted
-        r = orbit[0]
+    rest = (1 << g.n) - 1  # the vertices of this block and the later ones
+    for r in range(0, g.n, ORBIT):
+        # r is the least of rest, so every clique walked is sorted
         start = len(out)
         extend([r], adj[r] & rest)
         walked = out[start:]
-        for _ in orbit[1:]:
-            walked = [tuple(perm[v] for v in q) for q in walked]
+        for _ in range(ORBIT - 1):
+            walked = [tuple(sigma[v] for v in q) for q in walked]
             out.extend(tuple(sorted(q)) for q in walked)
-        for x in orbit:
-            rest ^= 1 << x
-    # a clique is reached once per vertex it has in its first orbit
+        rest ^= ((1 << ORBIT) - 1) << r
+    # a clique is reached once per vertex it has in its first block
     out.sort()
     return [q for i, q in enumerate(out) if not i or q != out[i - 1]]
 
@@ -580,17 +552,19 @@ def match_labeling(computed: Sequence[Basis],
     if len(computed) != len(ref_bases):
         raise MatchError(f"basis counts differ: {len(computed)} vs "
                          f"{len(ref_bases)}")
-    ids_a, ga = graph_from_bases(computed)
-    ids_b, gb = graph_from_bases(ref_bases)
-    if ga.n != gb.n:
-        raise MatchError(f"ray counts differ: {ga.n} vs {gb.n}")
+    ids_a, cols_a = ray_index(computed)
+    ids_b, cols_b = ray_index(ref_bases)
+    n = len(ids_a)
+    if n != len(ids_b):
+        raise MatchError(f"ray counts differ: {n} vs {len(ids_b)}")
     mapping = None
-    if ga.n % ORBIT == 0:
-        mapping = _equivariant_search(ga.adjacency, gb.adjacency)
+    if n % ORBIT == 0:
+        mapping = _equivariant_search(_basis_rows(n, cols_a),
+                                      _basis_rows(n, cols_b))
     if mapping is None:
         raise MatchError("no ray bijection maps the computed bases onto "
                          "the reference table")
-    result = {ids_a[i]: ids_b[mapping[i]] for i in range(ga.n)}
+    result = {ids_a[i]: ids_b[mapping[i]] for i in range(n)}
     image = {frozenset(result[r] for r in b) for b in computed}
     if image != {frozenset(b) for b in ref_bases}:
         raise MatchError("graph bijection does not carry bases to bases")

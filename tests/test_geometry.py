@@ -1,5 +1,6 @@
 """Golden-ring arithmetic, the exact constructions, projections, matching."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -15,7 +16,6 @@ from kspoly import geometry, golden
 from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
                              build_120cell_rays, coxeter_projection, e8_rays,
                              enumerate_bases, icosian_600cell, match_labeling,
-                             orbits,
                              orthogonality_graph, pentadecagon_classes,
                              projection_to_csv, rigidity_demo,
                              rotates_by_one_step, saturated)
@@ -270,6 +270,55 @@ def test_120cell_rays_pinned(cell120_rays):
     assert digest == RAYS_120CELL_SHA256
 
 
+def _plain_cliques(adj, d):
+    """The reference walk: every d-clique from its least vertex, over the
+    vertices above it, in sorted order."""
+    out = []
+
+    def extend(clique, cand):
+        if len(clique) == d:
+            out.append(tuple(clique))
+            return
+        while cand and len(clique) + cand.bit_count() >= d:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            extend(clique + [v], cand & adj[v])
+
+    extend([], (1 << len(adj)) - 1)
+    return out
+
+
+NEAR = (2, -2)  # 2 - 2a = 2*phi: 600-cell neighbours at radius 2
+
+
+def test_120cell_from_ray_cliques(h4, cell120_rays):
+    """The 600-cell's rays at +-(2 - 2a) have 300 4-cliques, one per
+    antipodal pair of cells; signing each ray 36 degrees from the first
+    makes all six products 2 - 2a.  The old derivation, the 600 4-cliques
+    of the 120 signed vertices, gives the same 300 centers."""
+    cells = enumerate_bases(geometry._graph(h4.vectors, NEAR), 4)
+    assert len(cells) == 300
+    for r, *others in cells:
+        u = h4.vectors[r]
+        cell = [u] + [v if golden.dot(u, v) == NEAR else vec_neg(v)
+                      for v in (h4.vectors[x] for x in others)]
+        assert all(golden.dot(a, b) == NEAR
+                   for a, b in itertools.combinations(cell, 2))
+    verts = [v for u in h4.vectors for v in (u, vec_neg(u))]
+    adj = [0] * len(verts)
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        if golden.dot(verts[i], verts[j]) == NEAR:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    old = _plain_cliques(adj, 4)
+    assert len(old) == 600
+    centers = {canonical_sign(tuple(
+        (sum(verts[x][t][0] for x in c), sum(verts[x][t][1] for x in c))
+        for t in range(4))) for c in old}
+    assert centers == set(cell120_rays.vectors)
+
+
 def test_120cell_structure(cell120_rays):
     g = orthogonality_graph(cell120_rays)
     assert g.n_edges == 4050
@@ -288,25 +337,24 @@ def test_120cell_structure(cell120_rays):
 
 
 def test_cliques_edgeless_graph():
-    g = OrthoGraph(5, (0,) * 5)
+    g = OrthoGraph(15, (0,) * 15)
     assert enumerate_bases(g, 4) == []
 
 
 def test_single_ray_graph(h4):
     """One ray is no union of w's orbits, so it has no RaySet and no
-    graph; the one-vertex graph itself is edgeless and holds no basis."""
+    graph: a one-vertex graph is no block of fifteen."""
     with pytest.raises(ValueError, match="orbits of fifteen"):
         RaySet("600cell", h4.vectors[:1])
-    one = OrthoGraph(1, (0,))
-    assert one.n_edges == 0
-    assert enumerate_bases(one, 4) == []
+    with pytest.raises(ValueError, match="blocks of fifteen"):
+        OrthoGraph(1, (0,))
 
 
 def test_cliques_complete_graph():
-    n = 6
+    n = 15
     adj = tuple(((1 << n) - 1) ^ (1 << i) for i in range(n))
     g = OrthoGraph(n, adj)
-    assert len(enumerate_bases(g, 4)) == math.comb(6, 4)
+    assert len(enumerate_bases(g, 4)) == math.comb(15, 4)
 
 
 # --------------------------------------------------------------------------
@@ -318,25 +366,16 @@ def three(h4, e8, cell120_rays):
     return {"600cell": h4, "120cell": cell120_rays, "gosset": e8}
 
 
-def _all_pairs_adjacency(rs):
-    """The reference: every pair of rays tested with one exact product."""
-    adj = [0] * len(rs)
-    for i, j in itertools.combinations(range(len(rs)), 2):
-        if golden.dot(rs.vectors[i], rs.vectors[j]) == ZERO:
+@functools.cache
+def _all_pairs_adjacency(vectors, value=ZERO):
+    """The reference: every pair of rays tested with one exact product,
+    joined when it is +-value."""
+    adj = [0] * len(vectors)
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        if golden.dot(vectors[i], vectors[j]) in (value, mul((-1, 0), value)):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return tuple(adj)
-
-
-@settings(max_examples=200)
-@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
-def test_orbits_partition_and_follow_perm(perm):
-    cycles = orbits(perm)
-    assert sorted(x for c in cycles for x in c) == list(range(len(perm)))
-    assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
-    for c in cycles:
-        assert c[0] == min(c)
-        assert [perm[x] for x in c] == c[1:] + c[:1]
 
 
 def _w_of_floats(v, roots):
@@ -365,7 +404,6 @@ def test_coxeter_permutation_orbits_are_pentadecagons(three):
         for _ in range(15):
             power = [perm[x] for x in power]
         assert power == list(range(len(rs))), name
-        assert {len(o) for o in orbits(perm)} == {15}, name
         assert rotates_by_one_step(coxeter_projection(rs)), name
 
 
@@ -459,17 +497,26 @@ def test_rayset_needs_w_orbits_of_fifteen(h4, monkeypatch):
 def test_transported_graph_matches_all_pairs(three, h4):
     for rs in (*three.values(), scale_by_alpha(h4)):
         g = orthogonality_graph(rs)
-        assert g.symmetry != tuple(range(len(rs))), rs.polytope
-        assert g.adjacency == _all_pairs_adjacency(rs), rs.polytope
+        assert g.adjacency == _all_pairs_adjacency(rs.vectors), rs.polytope
+
+
+def test_graphs_are_sigma_invariant(three, h4):
+    """σ is the one symmetry the graph code assumes: on every graph it
+    builds, tested over all pairs, adj(σx) = σ(adj x)."""
+    graphs = [(rs.vectors, ZERO) for rs in three.values()]
+    for vectors, value in graphs + [(h4.vectors, NEAR)]:
+        adj = _all_pairs_adjacency(vectors, value)
+        sigma = [shift_position(i, 1) for i in range(len(adj))]
+        assert all(adj[sigma[x]] == geometry._permute(adj[x], sigma)
+                   for x in range(len(adj))), (len(vectors), value)
+        assert geometry._graph(vectors, value).adjacency == adj
 
 
 def test_transported_cliques_match_identity(three):
     for rs in three.values():
         g = orthogonality_graph(rs)
-        plain = OrthoGraph(g.n, g.adjacency)
-        assert plain.symmetry == tuple(range(g.n))
         assert (enumerate_bases(g, rs.dimension)
-                == enumerate_bases(plain, rs.dimension)), rs.polytope
+                == _plain_cliques(g.adjacency, rs.dimension)), rs.polytope
 
 
 def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
@@ -488,32 +535,46 @@ def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
     assert calls == 3_130
 
 
-def test_orthograph_symmetry_must_be_a_permutation():
-    path = (0b10, 0b101, 0b10)  # 0 - 1 - 2
-    assert OrthoGraph(3, path, (2, 1, 0)).n_edges == 2
-    for perm in ((0, 0, 1), (0, 1), (1, 2, 3)):
-        with pytest.raises(ValueError, match="not a permutation"):
-            OrthoGraph(3, path, perm)
+def test_120cell_rays_dot_products(monkeypatch):
+    """The 120-cell's rays take 2,486 exact products: 240 to number the
+    600-cell round w, 146 for its +-(2 - 2a) graph, 900 to sign the 300
+    cells, and 1,200 to number the 120-cell."""
+    calls = 0
+    dot = golden.dot
+
+    def counting(u, v):
+        nonlocal calls
+        calls += 1
+        return dot(u, v)
+
+    monkeypatch.setattr(golden, "dot", counting)
+    assert len(build_120cell_rays()) == 300
+    assert calls == 2_486
+
+
+def test_orthograph_needs_blocks_of_fifteen():
+    for n in (1, 5, 16):
+        with pytest.raises(ValueError, match="blocks of fifteen"):
+            OrthoGraph(n, (0,) * n)
+    assert OrthoGraph(30, (0,) * 30).n_edges == 0
 
 
 @st.composite
 def invariant_graphs(draw):
-    """A random permutation and the union of the orbits of random edges
-    under it, so that the permutation preserves the graph."""
-    n = draw(st.integers(1, 12))
-    perm = draw(st.permutations(range(n)))
+    """The union of the σ-orbits of random edges on one or two blocks of
+    fifteen, so that σ preserves the graph, and a clique size: at most 5
+    on 15 vertices, 3 on 30."""
+    n = draw(st.sampled_from((15, 30)))
     adj = [0] * n
     for x, y in draw(st.lists(st.tuples(st.integers(0, n - 1),
                                         st.integers(0, n - 1)),
-                              max_size=3 * n)):
-        start = (x, y)
-        while x != y:
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-            x, y = perm[x], perm[y]
-            if (x, y) == start:
-                break
-    return OrthoGraph(n, tuple(adj), tuple(perm)), draw(st.integers(1, 5))
+                              max_size=n // 2)):
+        for k in range(15) if x != y else ():
+            sx, sy = shift_position(x, k), shift_position(y, k)
+            adj[sx] |= 1 << sy
+            adj[sy] |= 1 << sx
+    d = draw(st.integers(1, 5 if n == 15 else 3))
+    return OrthoGraph(n, tuple(adj)), d
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,7 +583,6 @@ def test_transported_cliques_once_each(case):
     g, d = case
     got = enumerate_bases(g, d)
     assert got == sorted(set(got))
-    assert got == enumerate_bases(OrthoGraph(g.n, g.adjacency), d)
     assert got == [c for c in itertools.combinations(range(g.n), d)
                    if all(g.adjacency[x] >> y & 1
                           for x, y in itertools.combinations(c, 2))]
@@ -684,6 +744,15 @@ def test_match_finds_a_power_of_the_wraparound():
     mapping = match_labeling(computed, SimpleNamespace(bases=reference))
     assert all(mapping[shift_position(x, 1)] - 1
                == shift_position(mapping[x] - 1, 2) for x in mapping)
+
+
+def test_match_ray_count_not_a_multiple_of_15():
+    """Bases on 16 rays fall in no blocks of fifteen: no match, and no
+    error but MatchError."""
+    computed = [tuple(range(s, s + 4)) for s in range(0, 16, 4)]
+    reference = [tuple(range(s, s + 4)) for s in range(1, 17, 4)]
+    with pytest.raises(MatchError):
+        match_labeling(computed, SimpleNamespace(bases=reference))
 
 
 def test_match_rejects_rays_not_numbered_round_w(h4, cell600):
