@@ -115,20 +115,16 @@ def cmd_weights(args) -> int:
     if args.max_weight is not None:
         items = [(w, c) for w, c in items if w <= args.max_weight]
     odd_total = gf2.odd_weight_total(dist)
-    if args.format == "json":
-        doc = {"polytope": layout.polytope, "n": spec.n, "k": spec.k,
-               "odd_total": str(odd_total),
-               "counts": {str(w): str(c) for w, c in items}}
-        text = json.dumps(doc, indent=1) + "\n"
-    elif args.format == "csv":
+    doc = {"polytope": layout.polytope, "n": spec.n, "k": spec.k,
+           "odd_total": str(odd_total),
+           "counts": {str(w): str(c) for w, c in items}}
+    if args.format == "csv":
         lines = ["weight,count"] + [f"{w},{c}" for w, c in items]
-        text = "\n".join(lines) + "\n"
     else:
         lines = [f"# {layout.polytope}: n={spec.n} k={spec.k} "
                  f"odd_total={odd_total}"]
         lines += [f"{w}\t{c}" for w, c in items]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _report(doc, lines, args)
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .gf2 import BitMatrix, _support, gf2_nullspace, span
 from .raysystem import (ORBIT, Basis, BasisTable, Word, ray_index,
-                        ray_occurrences, shift_position, word_to_bases)
+                        ray_occurrences, shift_mask, shift_position,
+                        word_to_bases)
 
 NODE_BUDGET_ENV = "KSPOLY_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -115,13 +116,17 @@ def find_ks_assignment(bases: Sequence[Basis],
     # 1, the rays set to 0, and per basis its free-ray count, or `done`
     # once the basis holds its 1
     rays, cols = ray_index(bases)
-    masks = [sum(1 << p for p in set(b)) for b in cols]
-    of_ray: list[list[int]] = [[] for _ in rays]
+    masks = []  # per basis, its rays as a bitset
+    of_ray: list[list[int]] = [[] for _ in rays]  # per ray, its bases
     for bi, b in enumerate(cols):
+        m = 0
         for p in b:
+            m |= 1 << p
             of_ray[p].append(bi)
+        masks.append(m)
     nbr: list[int | None] = [None] * len(rays)  # built on first use
-    done = max(map(len, cols)) + 1  # above every free count
+    free = [len(b) for b in cols]
+    done = max(free) + 1  # above every free count
     step = _rotation_step(rays, masks)
     ban = 0  # rays no assignment sets to 1: orbits of refuted root children
     pair = [0] * len(rays)  # per ray, the rays no assignment sets to 1 with it
@@ -173,7 +178,6 @@ def find_ks_assignment(bases: Sequence[Basis],
         return one, zero
 
     nodes = 0
-    free = [len(b) for b in cols]
     stack = [[free.index(min(free)), 0, 0, 0, free]]
     while stack:
         frame = stack[-1]
@@ -226,14 +230,8 @@ def _rotation_step(rays: tuple[int, ...], masks: list[int]) -> int:
             for i in range(0, n, ORBIT)):
         return 0
     known = set(masks)
-    for k in (1, 3, 5):
-        # σ^k on a mask over ray positions: shift each block up by k, the
-        # top k bits of each block wrapping round to its bottom
-        top = sum(((1 << k) - 1) << i + ORBIT - k for i in range(0, n, ORBIT))
-        if all((m & ~top) << k | (m & top) >> ORBIT - k in known
-               for m in masks):
-            return k
-    return 0
+    return next((k for k in (1, 3, 5)
+                 if known.issuperset(map(shift_mask(n, k), masks))), 0)
 
 
 # --------------------------------------------------------------------------

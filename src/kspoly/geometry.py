@@ -39,7 +39,8 @@ from . import golden
 from .gf2 import EnumerationLimitError, _support
 from .golden import (ALPHA, BETA, ZERO, Golden, GoldenVector, canonical_sign,
                      gvec, phi_map, vec_neg, vec_scale, vec_values)
-from .raysystem import ORBIT, Basis, BasisTable, ray_index, shift_position
+from .raysystem import (ORBIT, Basis, BasisTable, ray_index, shift_mask,
+                        shift_position)
 
 FloatVector = tuple[float, ...]
 
@@ -131,6 +132,10 @@ class RaySet(namedtuple("RaySet", "polytope vectors")):
     def __len__(self) -> int:
         return len(self.vectors)
 
+    @classmethod
+    def _make(cls, fields) -> RaySet:  # namedtuple's would check len()
+        return cls(*fields)
+
     @property
     def dimension(self) -> int:
         return len(self.vectors[0])
@@ -145,16 +150,9 @@ class RaySet(namedtuple("RaySet", "polytope vectors")):
 
 def signed_permutation_group() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The 192 even-permutation/sign-change operations on 4 coordinates."""
-    ops = []
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
-                         if perm[i] > perm[j])
-        if inversions % 2:
-            continue
-        for signs in itertools.product((1, -1), repeat=4):
-            ops.append((perm, signs))
-    assert len(ops) == 192
-    return ops
+    return [(perm, signs) for perm in itertools.permutations(range(4))
+            if not sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            for signs in itertools.product((1, -1), repeat=4)]
 
 
 _H4_SEEDS = (
@@ -256,12 +254,7 @@ class OrthoGraph(namedtuple("OrthoGraph", "n adjacency")):
 
 def _permute(mask: int, perm: Sequence[int]) -> int:
     """The image of a vertex bitset under a vertex permutation."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+    return sum(1 << perm[x] for x in _support(mask))
 
 
 def _graph(vectors: Sequence[GoldenVector], value: Golden) -> OrthoGraph:
@@ -275,7 +268,7 @@ def _graph(vectors: Sequence[GoldenVector], value: Golden) -> OrthoGraph:
     block: adj(σx) = σ(adj x).
     """
     n = len(vectors)
-    sigma = [shift_position(i, 1) for i in range(n)]
+    sigma = shift_mask(n, 1)
     adj = [0] * n
     unknown = (1 << n) - 1  # the vertices whose rows are not yet known
     dot, values = golden.dot, (value, (-value[0], -value[1]))
@@ -289,7 +282,7 @@ def _graph(vectors: Sequence[GoldenVector], value: Golden) -> OrthoGraph:
         adj[r] = row
         for x in range(r + 1, r + ORBIT):
             unknown ^= 1 << x
-            adj[x] = row = _permute(row, sigma)
+            adj[x] = row = sigma(row)
             for y in _support(row & unknown):
                 adj[y] |= 1 << x
     return OrthoGraph(n, tuple(adj))

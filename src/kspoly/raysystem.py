@@ -17,7 +17,7 @@ import io
 import re
 from collections import Counter, namedtuple
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 POLYTOPES = ("600cell", "120cell", "gosset")
 ORBIT = 15  # bases per generator = rays per pentadecagon
@@ -115,6 +115,13 @@ def shift_position(p: int, k: int) -> int:
     return p - p % ORBIT + (p + k) % ORBIT
 
 
+def shift_mask(n: int, k: int) -> Callable[[int], int]:
+    """σ^k on bitsets of n positions, n a multiple of fifteen: each block's
+    bits move k up, the top k wrapping round to the block's bottom."""
+    top = sum(((1 << k) - 1) << i + ORBIT - k for i in range(0, n, ORBIT))
+    return lambda m: (m & ~top) << k | (m & top) >> ORBIT - k
+
+
 def expand_orbit(gen: Generator, layout: PentadecagonLayout,
                  shift: int) -> Basis:
     """Shift every ray of the generator by `shift` with wraparound.
@@ -183,8 +190,8 @@ def ray_index(bases: Iterable[Basis]
     rays in that order."""
     bases = list(bases)
     rays = tuple(sorted(set(chain.from_iterable(bases))))
-    pos = {r: i for i, r in enumerate(rays)}
-    return rays, [tuple(pos[r] for r in b) for b in bases]
+    pos = {r: i for i, r in enumerate(rays)}.__getitem__
+    return rays, [tuple(map(pos, b)) for b in bases]
 
 
 def basis_profile(basis: Iterable[int], layout: PentadecagonLayout) -> str:
@@ -260,6 +267,10 @@ class Word(namedtuple("Word", "letters polytope")):
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    @classmethod
+    def _make(cls, fields) -> Word:  # namedtuple's would check len()
+        return cls(*fields)
 
     def __str__(self) -> str:
         return render_word(self)

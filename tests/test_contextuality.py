@@ -190,6 +190,53 @@ def test_gosset_sigma5_search_tree_size_is_pinned(gosset):
     assert_tree_size(bases, 8_854)
 
 
+def planted(table, k, seed):
+    """The bases holding exactly one of k random rays, no two of them in
+    one basis, drawn as the benchmark's assign workload draws them:
+    shuffle the rays, take each that shares no basis with those taken,
+    and draw again when fewer than k fit."""
+    of_ray = {}
+    for i, b in enumerate(table.bases):
+        for r in b:
+            of_ray.setdefault(r, []).append(i)
+    rng, rays = random.Random(seed), sorted(of_ray)
+    while True:
+        rng.shuffle(rays)
+        used, chosen = set(), 0
+        for r in rays:
+            if used.isdisjoint(of_ray[r]):
+                used.update(of_ray[r])
+                chosen += 1
+                if chosen == k:
+                    return [table.bases[i] for i in sorted(used)]
+
+
+# the rays set to 1 in the assignment found for planted(table, 10, 1) on
+# the 120-cell (53 of its 181 rays)
+PLANTED_120_ONES = (
+    1, 2, 6, 7, 8, 9, 10, 16, 17, 18, 22, 24, 30, 31, 34, 37, 39, 42, 44,
+    46, 47, 48, 49, 55, 57, 60, 68, 69, 70, 72, 74, 75, 83, 86, 92, 96, 97,
+    98, 100, 105, 107, 112, 118, 121, 122, 126, 141, 142, 143, 150, 173,
+    184, 212)
+
+
+@pytest.mark.parametrize("name, k, nodes, ones", [
+    ("cell120", 10, 50, PLANTED_120_ONES),
+    ("gosset", 8, 45, (36, 47, 78, 79, 80, 82, 83, 120))])
+def test_planted_search_tree_size_is_pinned(request, name, k, nodes, ones):
+    """A satisfiable tree, pinned like the refutations: a seeded planted
+    instance (90 bases on the 120-cell, 1,080 on Gosset) takes exactly
+    `nodes` nodes to find the same assignment, every ray of the input
+    present."""
+    _, _, table, *_ = request.getfixturevalue(name)
+    bases = planted(table, k, 1)
+    with pytest.raises(SearchBudgetExceeded):
+        find_ks_assignment(bases, node_budget=nodes - 1)
+    found = find_ks_assignment(bases, node_budget=nodes)
+    assert set(found) == {r for b in bases for r in b}
+    assert tuple(sorted(r for r, v in found.items() if v)) == ones
+
+
 def test_bans_keep_the_plain_assignment_on_words(polytopes):
     """Every one-letter word of the three tables and seeded 2-3-letter
     words: the banned search returns what the plain search returns, within
@@ -315,16 +362,17 @@ def test_deep_search_needs_no_recursion():
 
 
 def brute_force_assignment_exists(bases) -> bool:
-    """Try every 0/1 vector over the rays, one bit per ray."""
+    """Try every 0/1 vector over the rays, one bit per ray; a basis is the
+    set of its rays, so a ray it repeats counts once."""
     rays = sorted({r for b in bases for r in b})
-    masks = [sum(1 << rays.index(r) for r in b) for b in bases]
+    masks = [sum(1 << rays.index(r) for r in set(b)) for b in bases]
     return any(all((ones & m).bit_count() == 1 for m in masks)
                for ones in range(1 << len(rays)))
 
 
-# up to 10 bases over at most 12 rays, each basis 0-5 distinct rays; the
-# second draw repeats some of the first
-_basis = st.lists(st.integers(0, 11), unique=True, max_size=5).map(tuple)
+# up to 10 bases over at most 12 rays, each basis 0-5 rays, a ray possibly
+# repeated; the second draw repeats some of the first bases
+_basis = st.lists(st.integers(0, 11), max_size=5).map(tuple)
 _instances = st.lists(_basis, min_size=1, max_size=10).flatmap(
     lambda bs: st.lists(st.sampled_from(bs), max_size=10 - len(bs))
     .map(lambda repeats: bs + repeats))
@@ -338,7 +386,7 @@ def test_search_agrees_with_brute_force(bases):
     if assignment is not None:
         assert set(assignment) == {r for b in bases for r in b}
         for b in bases:
-            assert sum(assignment[r] for r in b) == 1
+            assert sum(assignment[r] for r in set(b)) == 1
 
 
 # --------------------------------------------------------------------------

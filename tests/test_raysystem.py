@@ -8,7 +8,7 @@ from kspoly.raysystem import (Generator, Pentadecagon, PentadecagonLayout,
                               RayBasisSymbol, Word, basis_profile,
                               build_basis_table,
                               expand_orbit, parse_word,
-                              ray_basis_symbol, shift_position,
+                              ray_basis_symbol, shift_mask, shift_position,
                               symbol_from_word, table_to_csv, table_to_json,
                               word_to_bases)
 
@@ -50,6 +50,17 @@ def test_shift_ray_wraps_inside_pentadecagon():
     assert shift_position(15, 1) == 16
     assert shift_position(29, 1) == 15
     assert shift_position(4, 11) == 0
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda blocks: st.tuples(
+    st.integers(0, (1 << 15 * blocks) - 1), st.just(15 * blocks),
+    st.integers(0, 14))))
+def test_shift_mask_is_shift_position_on_bitsets(instance):
+    """σ^k on a bitset moves each of its positions p to σ^k p."""
+    mask, n, k = instance
+    moved = {shift_position(p, k) for p in range(n) if mask >> p & 1}
+    assert shift_mask(n, k)(mask) == sum(1 << p for p in moved)
 
 
 # --------------------------------------------------------------------------

@@ -66,3 +66,20 @@ def test_record_is_frozen(name):
             hash(rec)
     else:
         assert hash(again) == hash(rec)
+
+
+def test_replace_keeps_len_overrides():
+    """Word and RaySet define __len__ (letters, rays), which namedtuple's
+    own _make would take for the field count: _replace works and checks
+    the new fields."""
+    word = raysystem.Word(frozenset({"a"}))
+    tagged = word._replace(polytope="600cell")
+    assert tagged == raysystem.Word(frozenset({"a"}), "600cell")
+    assert len(tagged) == 1
+    with pytest.raises(ValueError):
+        word._replace(polytope="24cell")
+    rs = geometry.icosian_600cell()
+    assert rs._replace(polytope="h4") == ("h4", rs.vectors)
+    assert len(rs._replace(polytope="h4")) == 60
+    with pytest.raises(ValueError):
+        rs._replace(vectors=rs.vectors[1:])  # no longer closed under w
