@@ -3,9 +3,9 @@ geometry checks, with deterministic text/json output, and csv where it is
 rendered (gen-bases, weights, geometry project).
 
 Exit codes: 0 success; 2 bad arguments (csv asked of a command that does
-not render it included), word parse error, a non-integer
-KSPOLY_NODE_BUDGET, a --data file that is missing, unreadable or not a
-valid dataset, or an --out path that cannot be written; 3 internal
+not render it included), word parse error, a KSPOLY_NODE_BUDGET that is
+not a non-negative integer, a --data file that is missing, unreadable or
+not a valid dataset, or an --out path that cannot be written; 3 internal
 counting inconsistency; 4 word is not an odd nullspace element where one
 is required; 5 failed geometric claim; 6 a search or enumeration ran past
 its limit (assignment node budget, match search budget, enumeration
@@ -163,10 +163,12 @@ def cmd_word(args) -> int:
         doc["certificate"] = contextuality.certificate_to_json(cert)
         if args.check_assignment and word.letters:
             try:
-                assignment = contextuality.find_ks_assignment(proof.bases())
+                budget = contextuality.resolve_node_budget()
             except ValueError as exc:
                 raise CliError(f"bad {contextuality.NODE_BUDGET_ENV}: {exc}",
                                EXIT_USAGE)
+            assignment = contextuality.find_ks_assignment(proof.bases(),
+                                                          budget)
             doc["assignment_exists"] = assignment is not None
         text_lines = [f"word {doc['word'] or '(empty)'}: "
                       f"{'valid' if cert.valid else 'invalid'} "

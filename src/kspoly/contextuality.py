@@ -26,7 +26,25 @@ SUBPROOF_CAP = 10_000  # the most sub-proofs a decomposition returns
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The backtracking search ran out of its node budget."""
+    """The backtracking search ran out of its node budget; .stats holds
+    the work it did, as find_ks_assignment's stats dict would."""
+
+    def __init__(self, message: str, stats: dict) -> None:
+        super().__init__(message)
+        self.stats = stats
+
+
+def resolve_node_budget(node_budget: int | None = None) -> int:
+    """node_budget, or KSPOLY_NODE_BUDGET when it is None (or
+    DEFAULT_NODE_BUDGET when that is unset); ValueError unless it is a
+    non-negative integer."""
+    if node_budget is None:
+        node_budget = int(os.environ.get(NODE_BUDGET_ENV,
+                                         DEFAULT_NODE_BUDGET))
+    if node_budget < 0:
+        raise ValueError(f"node budget must not be negative, "
+                         f"got {node_budget}")
+    return node_budget
 
 
 class Proof(namedtuple("Proof", "table basis_indices")):
@@ -79,7 +97,8 @@ def certificate_for_bases(bases: Sequence[Basis]) -> ParityCertificate:
 
 
 def find_ks_assignment(bases: Sequence[Basis],
-                       node_budget: int | None = None
+                       node_budget: int | None = None,
+                       stats: dict | None = None
                        ) -> dict[int, int] | None:
     """Exhaustive search for a {0,1} ray assignment with exactly one 1 per
     basis.  Returns such an assignment (every ray of the input, unforced
@@ -87,12 +106,15 @@ def find_ks_assignment(bases: Sequence[Basis],
 
     The search is a deterministic, complete backtracking search.  It
     branches on the unsatisfied basis with the fewest free (not yet 0)
-    rays, ties going to the lowest input index, and tries its free rays in
-    basis order.  A node is one such try: the ray is set to 1 and unit
+    rays, ties going to the lowest input index, and tries its free rays
+    most-shared first: in order of how many input bases hold them, basis
+    order on ties.  A node is one such try: the ray is set to 1 and unit
     propagation follows (the rest of a satisfied basis goes to 0; a basis
     left with one free ray sets it to 1).  The search is iterative, so its
     depth is not bounded by the recursion limit; each stack frame keeps
-    its own state, so backtracking drops a frame and undoes nothing.
+    its own state, so backtracking drops a frame and undoes nothing.  A
+    refutation without cuts tries every child of every frame, so its tree
+    does not depend on the order of the tries.
 
     When the rays fill whole pentadecagons (ids 1-15, 16-30, ...) and the
     bases are invariant under σ^k (σ: r -> r+1 inside each; k the first of
@@ -103,14 +125,28 @@ def find_ks_assignment(bases: Sequence[Basis],
     Cuts only fail nodes and never touch the free counts, so the search
     walks the plain tree minus the cut subtrees and returns its answer.
 
-    node_budget caps the nodes; default comes from KSPOLY_NODE_BUDGET.
-    SearchBudgetExceeded is raised on the first node past the budget; its
-    message says how far the search got.
+    node_budget caps the nodes; default comes from KSPOLY_NODE_BUDGET, and
+    a negative budget raises ValueError.  SearchBudgetExceeded is raised
+    on the first node past the budget; its message says how far the search
+    got.  A stats dict, when given, gets the work done: `nodes`,
+    `max_depth` (the most frames on the stack at once), `step` (the
+    k of the cuts, 0 for none) and `rays_banned`.  SearchBudgetExceeded
+    carries the same dict, as far as the search got, as its .stats.
     """
-    if node_budget is None:
-        node_budget = int(os.environ.get(NODE_BUDGET_ENV,
-                                         DEFAULT_NODE_BUDGET))
+    node_budget = resolve_node_budget(node_budget)
+    nodes = depth = step = 0
+    ban = 0  # rays no assignment sets to 1: orbits of refuted root children
+
+    def work() -> dict:
+        """The stats so far, copied into the caller's dict when given."""
+        out = {"nodes": nodes, "max_depth": depth, "step": step,
+               "rays_banned": ban.bit_count()}
+        if stats is not None:
+            stats.update(out)
+        return out
+
     if not bases:
+        work()
         return {}
     # rays are bit positions; a state is (one, zero, free): the rays set to
     # 1, the rays set to 0, and per basis its free-ray count, or `done`
@@ -125,10 +161,13 @@ def find_ks_assignment(bases: Sequence[Basis],
             of_ray[p].append(bi)
         masks.append(m)
     nbr: list[int | None] = [None] * len(rays)  # built on first use
+    # per basis, its rays most-shared first (the sort is stable), built on
+    # first use
+    order: list[list[int] | None] = [None] * len(cols)
+    shared = list(map(len, of_ray)).__getitem__
     free = [len(b) for b in cols]
     done = max(free) + 1  # above every free count
     step = _rotation_step(rays, masks)
-    ban = 0  # rays no assignment sets to 1: orbits of refuted root children
     pair = [0] * len(rays)  # per ray, the rays no assignment sets to 1 with it
 
     def orbit(p: int) -> list[int]:
@@ -177,12 +216,20 @@ def find_ks_assignment(bases: Sequence[Basis],
                         return None
         return one, zero
 
-    nodes = 0
-    stack = [[free.index(min(free)), 0, 0, 0, free]]
+    def branch(least: int, one: int, zero: int, free: list[int]) -> list:
+        """A new frame branching on the first basis with `least` free rays:
+        [its rays in try order, the next try, one, zero, free]."""
+        bi = free.index(least)
+        b = order[bi]
+        if b is None:
+            b = order[bi] = sorted(cols[bi], key=shared, reverse=True)
+        return [b, 0, one, zero, free]
+
+    stack = [branch(min(free), 0, 0, free)]
+    depth = 1
     while stack:
         frame = stack[-1]
-        bi, i, one, zero, free = frame
-        b = cols[bi]
+        b, i, one, zero, free = frame
         if step and i and len(stack) <= 2:
             # the child b[i - 1] is refuted, at the root or below root
             # child r
@@ -190,9 +237,8 @@ def find_ks_assignment(bases: Sequence[Basis],
                 for q in orbit(b[i - 1]):
                     ban |= 1 << q
             else:
-                root_bi, root_i = stack[0][:2]
-                r = cols[root_bi][root_i - 1]
-                for q, c in zip(orbit(r), orbit(b[i - 1])):
+                root, root_i = stack[0][:2]
+                for q, c in zip(orbit(root[root_i - 1]), orbit(b[i - 1])):
                     pair[q] |= 1 << c
                     pair[c] |= 1 << q
         while i < len(b) and zero >> b[i] & 1:
@@ -201,22 +247,26 @@ def find_ks_assignment(bases: Sequence[Basis],
             stack.pop()
             continue
         frame[1] = i + 1
-        nodes += 1
-        if nodes > node_budget:
-            root_bi, root_i = stack[0][:2]
+        if nodes == node_budget:
+            root, root_i = stack[0][:2]
             raise SearchBudgetExceeded(
                 f"assignment search exceeded {node_budget} nodes "
-                f"({root_i - 1} of {len(cols[root_bi])} root branches "
+                f"({root_i - 1} of {len(root)} root branches "
                 f"refuted, {ban.bit_count()} rays banned, depth "
-                f"{len(stack)})")
+                f"{len(stack)})", work())
+        nodes += 1
         child = free.copy()
         state = set_one(b[i], one, zero, child)
         if state is None:
             continue
         least = min(child)
         if least == done:
+            work()
             return {r: state[0] >> p & 1 for p, r in enumerate(rays)}
-        stack.append([child.index(least), 0, *state, child])
+        stack.append(branch(least, *state, child))
+        if len(stack) > depth:
+            depth = len(stack)
+    work()
     return None
 
 

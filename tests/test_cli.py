@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kspoly
+from kspoly import contextuality
 from kspoly.cli import main
 from kspoly.datasets import data_text
 
@@ -434,6 +435,29 @@ def test_word_verify_bad_node_budget_exit2(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("kspoly: bad KSPOLY_NODE_BUDGET: ")
     assert err.count("\n") == 1
+
+
+def test_word_verify_negative_node_budget_exit2(capsys, monkeypatch):
+    monkeypatch.setenv("KSPOLY_NODE_BUDGET", "-1")
+    code = main(["word", "--polytope", "600cell", "a", "verify",
+                 "--check-assignment"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("kspoly: bad KSPOLY_NODE_BUDGET: node budget "
+                            "must not be negative, got -1\n")
+
+
+def test_word_verify_search_error_is_not_a_budget_error(monkeypatch):
+    """Only the budget's parse maps ValueError to exit 2: one raised by the
+    search itself is not reported as a bad KSPOLY_NODE_BUDGET."""
+    def broken(bases, node_budget=None, stats=None):
+        raise ValueError("raised inside the search")
+
+    monkeypatch.setattr(contextuality, "find_ks_assignment", broken)
+    with pytest.raises(ValueError, match="inside the search"):
+        main(["word", "--polytope", "600cell", "a", "verify",
+              "--check-assignment"])
 
 
 def test_word_minimal_past_support_limit(capsys):

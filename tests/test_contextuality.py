@@ -111,6 +111,19 @@ def test_budget_env_var(cell600, monkeypatch):
         find_ks_assignment(list(table.bases))
 
 
+def test_negative_budget_is_rejected(monkeypatch):
+    """A negative budget is an error, not a search that stops at once,
+    whether it is passed or read from KSPOLY_NODE_BUDGET; 0 is allowed."""
+    with pytest.raises(ValueError, match="must not be negative"):
+        find_ks_assignment([(1, 2)], node_budget=-1)
+    monkeypatch.setenv("KSPOLY_NODE_BUDGET", "-1")
+    with pytest.raises(ValueError, match="must not be negative"):
+        find_ks_assignment([(1, 2)])
+    assert find_ks_assignment([], node_budget=0) == {}
+    with pytest.raises(SearchBudgetExceeded):
+        find_ks_assignment([(1, 2)], node_budget=0)
+
+
 def test_empty_instance():
     assert find_ks_assignment([]) == {}
 
@@ -190,6 +203,74 @@ def test_gosset_sigma5_search_tree_size_is_pinned(gosset):
     assert_tree_size(bases, 8_854)
 
 
+def search_stats(bases, node_budget=None):
+    stats = {}
+    found = find_ks_assignment(bases, node_budget, stats)
+    return found, stats
+
+
+def test_search_stats_are_pinned(gosset, cell120):
+    """The stats dict reports the pinned trees' node counts, with the
+    deepest frame, the σ^k step of the cuts and the rays those banned."""
+    e1 = word_proof(gosset, "e1").bases()
+    assert search_stats(doubled(e1)) == (None, {
+        "nodes": 15_163, "max_depth": 7, "step": 0, "rays_banned": 0})
+    assert search_stats(e1) == (None, {
+        "nodes": 2_349, "max_depth": 7, "step": 1, "rays_banned": 60})
+    sub = local_bases(gosset, "e1 e2", E1E2_SIGMA5)
+    stats = search_stats(sub)[1]
+    assert (stats["nodes"], stats["step"]) == (8_854, 5)
+    found, stats = search_stats(planted(cell120[2], 10, 1))
+    assert found is not None
+    assert stats == {"nodes": 9, "max_depth": 9, "step": 0,
+                     "rays_banned": 0}
+    assert search_stats([]) == ({}, {"nodes": 0, "max_depth": 0, "step": 0,
+                                     "rays_banned": 0})
+
+
+def test_budget_error_carries_the_partial_stats(gosset):
+    """SearchBudgetExceeded holds the work done up to the budget, also when
+    the caller passed no dict, and the caller's dict gets the same."""
+    e1 = word_proof(gosset, "e1").bases()
+    with pytest.raises(SearchBudgetExceeded) as caught:
+        find_ks_assignment(e1, node_budget=100)
+    assert caught.value.stats["nodes"] == 100
+    assert caught.value.stats["step"] == 1
+    stats = {}
+    with pytest.raises(SearchBudgetExceeded) as caught:
+        find_ks_assignment(e1, 100, stats)
+    assert stats == caught.value.stats
+    assert 1 < stats["max_depth"] <= 7
+
+
+def closed_by_parity(bases):
+    """bases and one more, holding the rays that occur an odd number of
+    times in them (possibly none): every ray then occurs an even number of
+    times, so an odd number of bases has no assignment."""
+    odd = set()
+    for b in bases:
+        odd ^= set(b)
+    return bases + [sorted(odd)]
+
+
+# 2-12 random bases (an even number) over up to 16 rays, closed by parity
+_refutations = st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, 15), unique=True, min_size=1, max_size=5),
+    min_size=2 * m, max_size=2 * m)).map(closed_by_parity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_refutations)
+def test_uncut_refutation_tree_ignores_ray_order(bases):
+    """Without cuts every child of every frame is tried, so reversing each
+    basis tuple, which reverses the order of the tries among tied rays,
+    leaves the refutation's node count unchanged."""
+    plain = doubled(bases)
+    found, stats = search_stats(plain)
+    assert found is None
+    assert search_stats([b[::-1] for b in plain]) == (None, stats)
+
+
 def planted(table, k, seed):
     """The bases holding exactly one of k random rays, no two of them in
     one basis, drawn as the benchmark's assign workload draws them:
@@ -211,23 +292,16 @@ def planted(table, k, seed):
                     return [table.bases[i] for i in sorted(used)]
 
 
-# the rays set to 1 in the assignment found for planted(table, 10, 1) on
-# the 120-cell (53 of its 181 rays)
-PLANTED_120_ONES = (
-    1, 2, 6, 7, 8, 9, 10, 16, 17, 18, 22, 24, 30, 31, 34, 37, 39, 42, 44,
-    46, 47, 48, 49, 55, 57, 60, 68, 69, 70, 72, 74, 75, 83, 86, 92, 96, 97,
-    98, 100, 105, 107, 112, 118, 121, 122, 126, 141, 142, 143, 150, 173,
-    184, 212)
-
-
 @pytest.mark.parametrize("name, k, nodes, ones", [
-    ("cell120", 10, 50, PLANTED_120_ONES),
-    ("gosset", 8, 45, (36, 47, 78, 79, 80, 82, 83, 120))])
+    ("cell120", 10, 9, (26, 80, 103, 201, 223, 237, 265, 274, 279, 283)),
+    ("gosset", 8, 3, (36, 47, 78, 79, 80, 82, 83, 120))])
 def test_planted_search_tree_size_is_pinned(request, name, k, nodes, ones):
     """A satisfiable tree, pinned like the refutations: a seeded planted
     instance (90 bases on the 120-cell, 1,080 on Gosset) takes exactly
     `nodes` nodes to find the same assignment, every ray of the input
-    present."""
+    present.  Trying the most-shared ray first finds the planted rays
+    themselves, one decision each (Gosset's propagation sets five of
+    its eight)."""
     _, _, table, *_ = request.getfixturevalue(name)
     bases = planted(table, k, 1)
     with pytest.raises(SearchBudgetExceeded):
@@ -344,12 +418,17 @@ def test_rotation_check_rejects(cell120, gosset):
 
 
 def test_branching_rule():
-    """Branch on the fewest free rays, lowest index on ties, rays in basis
-    order: basis (2, 3) beats (3, 4) on the tie and ray 2 goes first, which
+    """Branch on the fewest free rays, lowest index on ties, rays
+    most-shared first, basis order on ties: basis (2, 3) beats (3, 4) on
+    the tie, rays 2 and 3 lie in two bases each and ray 2 goes first, which
     forces 4.  Branching on the first unsatisfied basis, on the last tied
-    one, or on the rays in reverse order would set 0 and 3 instead."""
+    one, or on the tied rays in reverse order would set 0 and 3 instead.
+    In (0, 1), ray 1 lies in three bases and ray 0 in one, so 1 goes
+    first and satisfies them all; basis order would set 0, 2 and 3."""
     assignment = find_ks_assignment([(0, 1, 2), (2, 3), (3, 4)])
     assert assignment == {0: 0, 1: 0, 2: 1, 3: 0, 4: 1}
+    assignment = find_ks_assignment([(0, 1), (1, 2), (1, 3)])
+    assert assignment == {0: 0, 1: 1, 2: 0, 3: 0}
 
 
 def test_deep_search_needs_no_recursion():
