@@ -38,6 +38,20 @@ COMMANDS = [
     ["word", "--polytope", "gosset", "b1", "expand", "--format", "json"],
     ["geometry", "rigidity"],
     ["geometry", "rigidity", "--format", "json"],
+    # each format of every command that renders it
+    ["gen-bases", "--polytope", "600cell", "--format", "json"],
+    ["gen-bases", "--polytope", "600cell", "--format", "csv"],
+    ["weights", "--polytope", "600cell", "--format", "csv"],
+    ["weights", "--polytope", "gosset", "--odd", "--max-weight", "9"],
+    ["word", "--polytope", "600cell", "a", "verify", "--check-assignment",
+     "--format", "json"],
+    ["word", "--polytope", "600cell", "c", "verify", "--format", "json"],
+    ["word", "--polytope", "600cell", "", "verify", "--format", "json"],
+    ["word", "--polytope", "120cell", "a b e g k r i'", "symbol",
+     "--format", "json"],
+    ["word", "--polytope", "600cell", "acd", "minimal", "--format", "json"],
+    ["word", "--polytope", "120cell", "cdy", "decompose", "--format", "json"],
+    ["word", "--polytope", "gosset", "b1", "expand"],
 ]
 for _check in ("construct", "project", "match"):
     for _polytope in ("600cell", "120cell", "gosset"):
