@@ -1,11 +1,12 @@
 """Command-line surface: basis tables, proof counting, word reports, and
-geometry checks, with deterministic text/json output, and csv where it is
-rendered (gen-bases, weights, geometry project).
+geometry checks, each a sub-command taking only the flags it reads.  A
+command builds a json document, text lines, and csv rows where it offers
+csv; `_report` renders the one --format asks for.
 
-Exit codes: 0 success; 2 bad arguments (csv asked of a command that does
-not render it included), word parse error, a KSPOLY_NODE_BUDGET that is
-not a non-negative integer, a --data file that is missing, unreadable or
-not a valid dataset, or an --out path that cannot be written; 3 internal
+Exit codes: 0 success; 2 bad arguments (a format or flag the command does
+not take included), word parse error, a KSPOLY_NODE_BUDGET that is not a
+non-negative integer, a --data file that is missing, unreadable or not a
+valid dataset, or an --out path that cannot be written; 3 internal
 counting inconsistency; 4 word is not an odd nullspace element where one
 is required; 5 failed geometric claim; 6 a search or enumeration ran past
 its limit (assignment node budget, match search budget, enumeration
@@ -15,9 +16,13 @@ size).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import contextuality, geometry, gf2, raysystem
 from .datasets import DatasetError, expected_counts, load_polytope
@@ -37,23 +42,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {out}: {exc.strerror or exc}",
-                           EXIT_USAGE)
-    else:
-        sys.stdout.write(text)
-
-
-def _report(doc: dict, text_lines: list[str], args) -> None:
+def _report(args, doc: dict, lines: Iterable[str],
+            rows: Iterable[Sequence] = ()) -> None:
+    """Write doc as json, rows as csv or lines as text to --out or stdout:
+    only the form --format asks for is built, so lines and rows may be lazy."""
     if args.format == "json":
         text = json.dumps(doc, indent=1) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
     else:
-        text = "\n".join(text_lines) + "\n"
-    _emit(text, args.out)
+        text = "\n".join(lines) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(args.out).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror or exc}",
+                       EXIT_USAGE)
 
 
 def _load_table(args):
@@ -68,63 +76,52 @@ def _load_table(args):
 
 
 # --------------------------------------------------------------------------
-# gen-bases
+# gen-bases and weights
 
 
 def cmd_gen_bases(args) -> int:
     layout, gens, table = _load_table(args)
-    if args.format == "json":
-        text = json.dumps(raysystem.table_to_json(table), indent=1) + "\n"
-    elif args.format == "csv":
-        text = raysystem.table_to_csv(table)
-    else:
-        lines = [f"# {layout.polytope}: {len(table.bases)} bases, "
-                 f"{len(gens)} generators x 15 shifts"]
-        for i, (b, (lab, shift)) in enumerate(zip(table.bases, table.origin)):
-            rays = " ".join(f"{r}" for r in b)
-            lines.append(f"{i + 1}\t{lab}\t{shift}\t{rays}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    n_bases, d = len(table.bases), layout.dimension
+    doc = {"polytope": layout.polytope, "dimension": d, "count": n_bases,
+           "bases": table.bases,  # json writes tuples as arrays
+           "origin": [{"index": i, "generator": lab, "shift": shift}
+                      for i, (lab, shift) in enumerate(table.origin, 1)]}
+    lines = chain([f"# {layout.polytope}: {n_bases} bases, "
+                   f"{len(gens)} generators x 15 shifts"],
+                  (f"{i}\t{lab}\t{shift}\t{' '.join(map(str, b))}"
+                   for i, (b, (lab, shift))
+                   in enumerate(zip(table.bases, table.origin), 1)))
+    rows = chain([["index", "generator", "shift"]
+                  + [f"r{j}" for j in range(1, d + 1)]],
+                 ([i, lab, shift, *b] for i, (b, (lab, shift))
+                  in enumerate(zip(table.bases, table.origin), 1)))
+    _report(args, doc, lines, rows)
     return EXIT_OK
-
-
-# --------------------------------------------------------------------------
-# weights
-
-
-def _weight_pipeline(layout, gens):
-    pm = raysystem.build_profile_matrix(layout, gens)
-    m2 = gf2.profile_matrix_mod2(pm)
-    spec = gf2.gf2_nullspace(m2, pm.col_labels)
-    dual = gf2.dual_weight_distribution(m2)
-    dist = gf2.macwilliams_transform(dual, spec.n)
-    return pm, spec, dist
 
 
 def cmd_weights(args) -> int:
     layout, gens = load_polytope(args.polytope, args.data)
+    pm = raysystem.build_profile_matrix(layout, gens)
+    m2 = gf2.profile_matrix_mod2(pm)
+    spec = gf2.gf2_nullspace(m2, pm.col_labels)
     try:
-        pm, spec, dist = _weight_pipeline(layout, gens)
+        dist = gf2.macwilliams_transform(gf2.dual_weight_distribution(m2),
+                                         spec.n)
     except gf2.WeightTransformError as exc:
         raise CliError(f"inconsistent weight transform: {exc}",
                        EXIT_INCONSISTENT)
     if dist.total() != 1 << spec.k:
         raise CliError("weight distribution does not sum to 2^k",
                        EXIT_INCONSISTENT)
-    items = [(w, c) for w, c in dist.items() if not args.odd or w % 2]
-    if args.max_weight is not None:
-        items = [(w, c) for w, c in items if w <= args.max_weight]
+    items = [(w, c) for w, c in dist.items() if (not args.odd or w % 2)
+             and (args.max_weight is None or w <= args.max_weight)]
     odd_total = gf2.odd_weight_total(dist)
     doc = {"polytope": layout.polytope, "n": spec.n, "k": spec.k,
            "odd_total": str(odd_total),
            "counts": {str(w): str(c) for w, c in items}}
-    if args.format == "csv":
-        lines = ["weight,count"] + [f"{w},{c}" for w, c in items]
-    else:
-        lines = [f"# {layout.polytope}: n={spec.n} k={spec.k} "
-                 f"odd_total={odd_total}"]
-        lines += [f"{w}\t{c}" for w, c in items]
-    _report(doc, lines, args)
+    lines = [f"# {layout.polytope}: n={spec.n} k={spec.k} "
+             f"odd_total={odd_total}"] + [f"{w}\t{c}" for w, c in items]
+    _report(args, doc, lines, [("weight", "count"), *items])
     return EXIT_OK
 
 
@@ -132,19 +129,11 @@ def cmd_weights(args) -> int:
 # word
 
 
-def _symbol_json(sym: raysystem.RayBasisSymbol) -> dict:
-    return {"ray_terms": [[m, rc] for m, rc in sym.ray_terms],
-            "basis_count": sym.basis_count,
-            "basis_size": sym.basis_size,
-            "text": str(sym)}
-
-
 def cmd_word(args) -> int:
     layout, gens, table = _load_table(args)
     try:
-        word = raysystem.parse_word(args.word, layout.polytope)
-        labels = {g.label for g in gens}
-        unknown = sorted(word.letters - labels)
+        word = raysystem.parse_word(args.word)
+        unknown = sorted(word.letters - {g.label for g in gens})
         if unknown:
             raise ValueError(f"letters {unknown} not in the "
                              f"{layout.polytope} generator set")
@@ -160,7 +149,11 @@ def cmd_word(args) -> int:
             cert = contextuality.verify_parity_proof(proof)
         else:
             cert = contextuality.certificate_for_bases([])
-        doc["certificate"] = contextuality.certificate_to_json(cert)
+        doc["certificate"] = {
+            "valid": cert.valid, "basis_count": cert.basis_count,
+            "offending_rays": list(cert.offending_rays),
+            "ray_occurrences": {str(r): c for r, c
+                                in sorted(cert.ray_occurrences.items())}}
         if args.check_assignment and word.letters:
             try:
                 budget = contextuality.resolve_node_budget()
@@ -176,8 +169,8 @@ def cmd_word(args) -> int:
                       f"{len(cert.offending_rays)} offending rays)"]
     elif args.action == "expand":
         indices = sorted(raysystem.word_to_bases(word, table))
-        doc["basis_indices"] = [i + 1 for i in indices]
-        doc["bases"] = [list(table.bases[i]) for i in indices]
+        doc.update(basis_indices=[i + 1 for i in indices],
+                   bases=[list(table.bases[i]) for i in indices])
         text_lines = [f"{i + 1}\t" + " ".join(map(str, table.bases[i]))
                       for i in indices]
     elif args.action == "symbol":
@@ -185,7 +178,9 @@ def cmd_word(args) -> int:
             raise CliError("cannot take the symbol of the empty word",
                            EXIT_NOT_PROOF)
         sym = raysystem.symbol_from_word(word, gens, layout)
-        doc["symbol"] = _symbol_json(sym)
+        doc["symbol"] = {"ray_terms": [list(t) for t in sym.ray_terms],
+                         "basis_count": sym.basis_count,
+                         "basis_size": sym.basis_size, "text": str(sym)}
         text_lines = [str(sym)]
     elif args.action == "minimal":
         pm = raysystem.build_profile_matrix(layout, gens)
@@ -194,12 +189,11 @@ def cmd_word(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc), EXIT_NOT_PROOF)
         n, k = len(gens), gf2.nullspace_of_profiles(pm).k
-        doc["minimal"] = minimal
-        doc["bound"] = gf2.minimality_bound(n, k)
+        doc.update(minimal=minimal, bound=gf2.minimality_bound(n, k))
         text_lines = [f"word {doc['word']}: "
                       f"{'minimal' if minimal else 'not minimal'} "
                       f"(length {len(word)}, bound {doc['bound']})"]
-    elif args.action == "decompose":
+    else:  # decompose
         if not word.letters:
             raise CliError("cannot decompose the empty word",
                            EXIT_NOT_PROOF)
@@ -214,10 +208,8 @@ def cmd_word(args) -> int:
                   if s.basis_indices != proof.basis_indices]
         label = contextuality.classify_decomposition(
             proof, proper if proper else [proof])
-        doc["irreducible"] = not proper
-        doc["classification"] = label
-        doc["truncated"] = dec.truncated
-        doc["sub_proofs"] = []
+        doc.update(irreducible=not proper, classification=label,
+                   truncated=dec.truncated, sub_proofs=[])
         text_lines = [f"word {doc['word']}: "
                       f"{'irreducible' if not proper else label}"]
         for s in dec.proofs:
@@ -230,9 +222,7 @@ def cmd_word(args) -> int:
                  "is_whole_proof": s.basis_indices == proof.basis_indices})
             text_lines.append(f"  {sym}  local " +
                               ",".join(map(str, local)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown action {args.action}", EXIT_USAGE)
-    _report(doc, text_lines, args)
+    _report(args, doc, text_lines)
     return EXIT_OK
 
 
@@ -241,65 +231,79 @@ def cmd_word(args) -> int:
 
 
 def _build_rayset(polytope: str) -> geometry.RaySet:
+    # looked up at each call: a tracer that rebinds them must see the calls
     return {"600cell": geometry.icosian_600cell,
             "120cell": geometry.build_120cell_rays,
             "gosset": geometry.e8_rays}[polytope]()
 
 
-def cmd_geometry(args) -> int:
-    doc: dict = {"check": args.check}
-    if args.check == "rigidity":
-        report = geometry.rigidity_demo()
-        doc["claims"] = [{"name": c.name, "passed": c.passed,
-                          "detail": c.detail} for c in report.claims]
-        doc["all_passed"] = ok = report.all_passed
-        text_lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
-                      for c in report.claims]
-        failure = "rigidity demonstration claims failed"
-    else:
-        doc["polytope"] = args.polytope
-        rs = _build_rayset(args.polytope)
-    if args.check == "construct":
-        rays, _, _, n_bases, per_ray = expected_counts(args.polytope)
-        graph = geometry.orthogonality_graph(rs)
-        bases = geometry.enumerate_bases(graph, rs.dimension)
-        counts = sorted(set(raysystem.ray_occurrences(bases).values()))
-        doc.update({"rays": len(rs), "edges": graph.n_edges,
-                    "bases": len(bases), "bases_per_ray": counts,
-                    "saturated": geometry.saturated(graph, bases)})
-        doc["ok"] = ok = (len(rs) == rays and len(bases) == n_bases
-                          and counts == [per_ray] and doc["saturated"])
-        text_lines = [f"{args.polytope}: {len(rs)} rays, "
-                      f"{graph.n_edges} orthogonal pairs, "
-                      f"{len(bases)} bases, each ray in {counts}"]
-        failure = "construction counts do not match"
-    elif args.check == "project":
-        proj = geometry.coxeter_projection(rs)
-        classes = geometry.pentadecagon_classes(proj)
-        doc["pentadecagons"] = [
-            {"radius": round(r, 6), "rays": len(m)} for r, m in classes]
-        # w turns each class, fifteen rays 24 degrees apart, by one ray
-        doc["ok"] = ok = geometry.rotates_by_one_step(proj)
-        text_lines = [f"{r:.4f}  {len(m)} rays" for r, m in classes]
-        failure = "projection classes malformed"
-    elif args.check == "match":
-        _, _, table = _load_table(args)
-        graph = geometry.orthogonality_graph(rs)
-        computed = geometry.enumerate_bases(graph, rs.dimension)
-        try:
-            mapping = geometry.match_labeling(computed, table)
-        except geometry.MatchError as exc:
-            raise CliError(f"match failed: {exc}", EXIT_GEOMETRY)
-        doc["ok"] = ok = True
-        doc["mapped_rays"] = len(mapping)
-        text_lines = [f"{args.polytope}: geometric bases match the "
-                      f"generator table ({len(mapping)} rays mapped)"]
-    if args.check == "project" and args.format == "csv":
-        _emit(geometry.projection_to_csv(proj), args.out)
-    else:
-        _report(doc, text_lines, args)
+def cmd_construct(args) -> int:
+    rs = _build_rayset(args.polytope)
+    rays, _, _, n_bases, per_ray = expected_counts(args.polytope)
+    graph = geometry.orthogonality_graph(rs)
+    bases = geometry.enumerate_bases(graph, rs.dimension)
+    counts = sorted(set(raysystem.ray_occurrences(bases).values()))
+    saturated = geometry.saturated(graph, bases)
+    ok = (len(rs) == rays and len(bases) == n_bases
+          and counts == [per_ray] and saturated)
+    doc = {"check": "construct", "polytope": args.polytope, "rays": len(rs),
+           "edges": graph.n_edges, "bases": len(bases),
+           "bases_per_ray": counts, "saturated": saturated, "ok": ok}
+    _report(args, doc, [f"{args.polytope}: {len(rs)} rays, "
+                        f"{graph.n_edges} orthogonal pairs, "
+                        f"{len(bases)} bases, each ray in {counts}"])
     if not ok:
-        raise CliError(failure, EXIT_GEOMETRY)
+        raise CliError("construction counts do not match", EXIT_GEOMETRY)
+    return EXIT_OK
+
+
+def cmd_project(args) -> int:
+    proj = geometry.coxeter_projection(_build_rayset(args.polytope))
+    classes = geometry.pentadecagon_classes(proj)
+    # w turns each class, fifteen rays 24 degrees apart, by one ray
+    ok = geometry.rotates_by_one_step(proj)
+    doc = {"check": "project", "polytope": args.polytope,
+           "pentadecagons": [{"radius": round(r, 6), "rays": len(m)}
+                             for r, m in classes],
+           "ok": ok}
+    # an angle just below 360 prints as 0: rounding noise must not decide
+    # between the two ends of the range
+    rows = chain([("ray", "radius", "angle_deg")],
+                 ((i, f"{r:.6f}", f"{round(a, 6) % 360.0:.6f}")
+                  for i, (r, a) in enumerate(proj, 1)))
+    _report(args, doc, (f"{r:.4f}  {len(m)} rays" for r, m in classes),
+            rows)
+    if not ok:
+        raise CliError("projection classes malformed", EXIT_GEOMETRY)
+    return EXIT_OK
+
+
+def cmd_match(args) -> int:
+    _, _, table = _load_table(args)  # a bad --data file fails first
+    rs = _build_rayset(args.polytope)
+    graph = geometry.orthogonality_graph(rs)
+    computed = geometry.enumerate_bases(graph, rs.dimension)
+    try:
+        mapping = geometry.match_labeling(computed, table)
+    except geometry.MatchError as exc:
+        raise CliError(f"match failed: {exc}", EXIT_GEOMETRY)
+    doc = {"check": "match", "polytope": args.polytope, "ok": True,
+           "mapped_rays": len(mapping)}
+    _report(args, doc, [f"{args.polytope}: geometric bases match the "
+                        f"generator table ({len(mapping)} rays mapped)"])
+    return EXIT_OK
+
+
+def cmd_rigidity(args) -> int:
+    report = geometry.rigidity_demo()
+    doc = {"check": "rigidity",
+           "claims": [{"name": c.name, "passed": c.passed,
+                       "detail": c.detail} for c in report.claims],
+           "all_passed": report.all_passed}
+    _report(args, doc, [f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
+                        for c in report.claims])
+    if not report.all_passed:
+        raise CliError("rigidity demonstration claims failed", EXIT_GEOMETRY)
     return EXIT_OK
 
 
@@ -314,29 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "120-cell, and Gosset polytope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, polytope_required=True, formats=("text", "json", "csv")):
-        p.add_argument("--polytope", choices=POLYTOPES,
-                       required=polytope_required)
+    def command(parent, name, func, formats=("text", "json"), polytope=True,
+                data=True, **kw):
+        p = parent.add_parser(name, **kw)
+        if polytope:
+            p.add_argument("--polytope", choices=POLYTOPES, required=True)
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--data", metavar="PATH", default=None,
-                       help="override the embedded dataset with a JSON file")
-        p.add_argument("--out", metavar="PATH", default=None,
+        if data:
+            p.add_argument("--data", metavar="PATH", help="override the "
+                           "embedded dataset with a JSON file")
+        p.add_argument("--out", metavar="PATH",
                        help="write output to a file instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-bases", help="dump the full basis table")
-    add_common(p)
-    p.set_defaults(func=cmd_gen_bases)
-
-    p = sub.add_parser("weights",
-                       help="exact parity-proof counts by word length")
-    add_common(p)
+    with_csv = ("text", "json", "csv")
+    command(sub, "gen-bases", cmd_gen_bases, with_csv,
+            help="dump the full basis table")
+    p = command(sub, "weights", cmd_weights, with_csv,
+                help="exact parity-proof counts by word length")
     p.add_argument("--odd", action="store_true",
                    help="only odd weights (the parity proofs)")
-    p.add_argument("--max-weight", type=int, default=None)
-    p.set_defaults(func=cmd_weights)
+    p.add_argument("--max-weight", type=int)
 
-    p = sub.add_parser("word", help="expand, verify, or analyse a word")
-    add_common(p, formats=("text", "json"))
+    p = command(sub, "word", cmd_word,
+                help="expand, verify, or analyse a word")
     p.add_argument("word", help="generator letters, e.g. \"a b e g k r i'\"")
     p.add_argument("action",
                    choices=("expand", "symbol", "verify", "minimal",
@@ -344,25 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-assignment", action="store_true",
                    help="with verify: exhaustively search for a "
                         "noncontextual assignment")
-    p.set_defaults(func=cmd_word)
 
-    p = sub.add_parser("geometry", help="geometric reconstruction checks")
-    p.add_argument("check",
-                   choices=("construct", "project", "match", "rigidity"))
-    add_common(p, polytope_required=False)
-    p.set_defaults(func=cmd_geometry)
+    checks = sub.add_parser(
+        "geometry", help="geometric reconstruction checks").add_subparsers(
+        dest="check", required=True)
+    command(checks, "construct", cmd_construct, data=False)
+    command(checks, "project", cmd_project, with_csv, data=False)
+    command(checks, "match", cmd_match)
+    command(checks, "rigidity", cmd_rigidity, polytope=False, data=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "geometry" and args.check != "rigidity" \
-            and not args.polytope:
-        parser.error(f"geometry {args.check} requires --polytope")
-    if args.command == "geometry" and args.check != "project" \
-            and args.format == "csv":
-        parser.error(f"geometry {args.check} has no csv output")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -365,15 +365,3 @@ def local_indices(p: Proof, sub: Proof) -> tuple[int, ...]:
     order = sorted(p.basis_indices)
     pos = {bi: i + 1 for i, bi in enumerate(order)}
     return tuple(sorted(pos[bi] for bi in sub.basis_indices))
-
-
-# --------------------------------------------------------------------------
-# JSON
-
-
-def certificate_to_json(cert: ParityCertificate) -> dict:
-    return {"valid": cert.valid,
-            "basis_count": cert.basis_count,
-            "offending_rays": list(cert.offending_rays),
-            "ray_occurrences": {str(r): c for r, c
-                                in sorted(cert.ray_occurrences.items())}}

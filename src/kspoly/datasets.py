@@ -95,18 +95,23 @@ def load_polytope(polytope: str,
                   ) -> tuple[PentadecagonLayout, tuple[Generator, ...]]:
     """Load a built-in dataset, or an external JSON file when path is given.
 
-    Raises DatasetError when the file cannot be read or is not a valid
-    dataset.
+    Raises DatasetError when the file cannot be read, is not UTF-8 JSON
+    that Python can parse, or is not a valid dataset.
     """
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise DatasetError(f"cannot read {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8: byte {exc.start}: "
+                               f"{exc.reason}") from exc
         try:
             return dataset_from_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise DatasetError(f"{path}: JSON nested too deeply") from exc
         except ValueError as exc:  # DatasetError and the layout checks
             raise DatasetError(f"{path}: {exc}") from exc
     if polytope not in POLYTOPES:

@@ -28,8 +28,6 @@ is exact.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from collections import namedtuple
@@ -630,18 +628,3 @@ def rigidity_demo() -> RigidityReport:
     claim("v2 not orthogonal to v5", not g_orth(2, 5),
           golden.to_text(golden.dot(v[2], v[5])))
     return RigidityReport(tuple(claims))
-
-
-# --------------------------------------------------------------------------
-# exports
-
-
-def projection_to_csv(projection: Sequence[tuple[float, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ray", "radius", "angle_deg"])
-    for i, (r, a) in enumerate(projection):
-        # an angle just below 360 prints as 0: rounding noise must not
-        # decide between the two ends of the range
-        writer.writerow([i + 1, f"{r:.6f}", f"{round(a, 6) % 360.0:.6f}"])
-    return buf.getvalue()

@@ -292,9 +292,8 @@ def _support(v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def vector_to_word(v: int, labels: tuple[str, ...],
-                   polytope: str | None = None) -> Word:
-    return Word(frozenset(labels[i] for i in _support(v)), polytope)
+def vector_to_word(v: int, labels: tuple[str, ...]) -> Word:
+    return Word(frozenset(labels[i] for i in _support(v)))
 
 
 def word_to_vector(w: Word, labels: tuple[str, ...]) -> int:
@@ -305,8 +304,7 @@ def word_to_vector(w: Word, labels: tuple[str, ...]) -> int:
 
 
 def enumerate_words(spec: CodeSpec, max_weight: int,
-                    parity: Parity = "odd",
-                    polytope: str | None = None) -> list[Word]:
+                    parity: Parity = "odd") -> list[Word]:
     """Low-weight codewords rendered as generator words.
 
     Deterministic: ordered lexicographically by support under the canonical
@@ -314,7 +312,7 @@ def enumerate_words(spec: CodeSpec, max_weight: int,
     """
     if spec.labels is None:
         raise ValueError("code spec carries no generator labels")
-    return [vector_to_word(v, spec.labels, polytope)
+    return [vector_to_word(v, spec.labels)
             for v in enumerate_low_weight(spec, max_weight, parity)]
 
 

@@ -12,8 +12,6 @@ ray-basis symbol can be read off the generator profiles alone.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from collections import Counter, namedtuple
 from itertools import chain
@@ -252,18 +250,15 @@ def parse_letter(token: str) -> tuple[int, str, int]:
     return (1 if m.group(2) else 0, m.group(1), int(m.group(3) or 0))
 
 
-class Word(namedtuple("Word", "letters polytope")):
-    """A set of distinct generator letters, optionally tagged by polytope."""
+class Word(namedtuple("Word", "letters")):
+    """A set of distinct generator letters."""
 
     __slots__ = ()
 
-    def __new__(cls, letters: frozenset[str],
-                polytope: str | None = None) -> Word:
+    def __new__(cls, letters: frozenset[str]) -> Word:
         for tok in letters:
             parse_letter(tok)
-        if polytope is not None and polytope not in POLYTOPES:
-            raise ValueError(f"unknown polytope {polytope!r}")
-        return super().__new__(cls, letters, polytope)
+        return super().__new__(cls, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -276,7 +271,7 @@ class Word(namedtuple("Word", "letters polytope")):
         return render_word(self)
 
 
-def parse_word(text: str, polytope: str | None = None) -> Word:
+def parse_word(text: str) -> Word:
     """Parse space-separated or concatenated letter tokens.
 
     Accepts both the compact form ("abegkri'") and the indexed form
@@ -298,7 +293,7 @@ def parse_word(text: str, polytope: str | None = None) -> Word:
         pos = m.end()
     if len(set(letters)) != len(letters):
         raise ValueError(f"duplicate letter in word {text!r}")
-    return Word(frozenset(letters), polytope)
+    return Word(frozenset(letters))
 
 
 def render_word(w: Word) -> str:
@@ -308,10 +303,7 @@ def render_word(w: Word) -> str:
 
 def compose_words(u: Word, v: Word) -> Word:
     """Symmetric difference of the letter sets (the group law)."""
-    if u.polytope and v.polytope and u.polytope != v.polytope:
-        raise ValueError(f"cannot compose words of different polytopes "
-                         f"({u.polytope} vs {v.polytope})")
-    return Word(u.letters ^ v.letters, u.polytope or v.polytope)
+    return Word(u.letters ^ v.letters)
 
 
 EMPTY_WORD = Word(frozenset())
@@ -393,33 +385,3 @@ def symbol_from_word(w: Word, generators: Sequence[Generator],
             by_mult[t] = by_mult.get(t, 0) + ORBIT
     return RayBasisSymbol(tuple(sorted(by_mult.items())),
                           ORBIT * len(w.letters), layout.dimension)
-
-
-# --------------------------------------------------------------------------
-# exports
-
-
-def table_to_json(table: BasisTable) -> dict:
-    """Table dump: an array of ray arrays plus 1-based origin annotations."""
-    return {
-        "polytope": table.layout.polytope,
-        "dimension": table.layout.dimension,
-        "count": len(table.bases),
-        "bases": [list(b) for b in table.bases],
-        "origin": [
-            {"index": i + 1, "generator": lab, "shift": shift}
-            for i, (lab, shift) in enumerate(table.origin)
-        ],
-    }
-
-
-def table_to_csv(table: BasisTable) -> str:
-    """One basis per row: index, generator, shift, then the d rays."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    d = table.layout.dimension
-    writer.writerow(["index", "generator", "shift"]
-                    + [f"r{i + 1}" for i in range(d)])
-    for i, (b, (lab, shift)) in enumerate(zip(table.bases, table.origin)):
-        writer.writerow([i + 1, lab, shift, *b])
-    return buf.getvalue()

@@ -60,6 +60,23 @@ def test_gen_bases_csv_gosset(capsys):
     assert lines[0].startswith("index,generator,shift,r1")
 
 
+def test_table_exports(capsys):
+    code, out = run(capsys, "gen-bases", "--polytope", "600cell",
+                    "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 75
+    assert doc["bases"][0] == [1, 5, 55, 56]
+    assert doc["origin"][0] == {"index": 1, "generator": "a", "shift": 0}
+    code, csv_text = run(capsys, "gen-bases", "--polytope", "600cell",
+                         "--format", "csv")
+    assert code == 0
+    lines = csv_text.strip().split("\n")
+    assert lines[0] == "index,generator,shift,r1,r2,r3,r4"
+    assert lines[1] == "1,a,0,1,5,55,56"
+    assert len(lines) == 76
+
+
 def test_gen_bases_bad_polytope(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-bases", "--polytope", "24cell"])
@@ -230,6 +247,22 @@ def test_data_not_a_dataset_exit2(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00bad", "not UTF-8: byte 0: invalid start byte"),
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+], ids=["not-utf8", "deeply-nested"])
+def test_data_unparseable_exit2(tmp_path, capsys, content, message):
+    """A file that is not UTF-8, or JSON nested past Python's recursion
+    limit, is a bad dataset: one line on stderr, no traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = main(["gen-bases", "--polytope", "600cell", "--data", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"kspoly: {path}: {message}\n"
+
+
 # one JSON value in place of a dataset field: plausible and implausible
 _FIELD_VALUES = st.one_of(
     st.integers(-2, 70), st.sampled_from(("a", "a'", "b1", "A", "", "P1")),
@@ -397,6 +430,17 @@ def test_word_verify_invalid_is_exit_zero(capsys):
                     "--format", "json")
     assert code == 0
     assert json.loads(out)["certificate"]["valid"] is False
+
+
+def test_certificate_json(capsys):
+    code, out = run(capsys, "word", "--polytope", "600cell", "c", "verify",
+                    "--format", "json")
+    assert code == 0
+    doc = json.loads(out)["certificate"]
+    assert doc["valid"] is False
+    assert doc["basis_count"] == 15
+    assert len(doc["offending_rays"]) == 60
+    json.dumps(doc)  # serialisable
 
 
 def test_word_verify_empty(capsys):
@@ -578,6 +622,32 @@ def test_geometry_project_csv(capsys):
     assert len(out.strip().split("\n")) == 61
 
 
+def test_projection_csv(capsys, monkeypatch):
+    from kspoly import geometry
+
+    code, text = run(capsys, "geometry", "project", "--polytope", "600cell",
+                     "--format", "csv")
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert lines[0] == "ray,radius,angle_deg"
+    assert len(lines) == 61
+    # an angle that rounds to 360 degrees prints as 0: turn the whole
+    # projection so that ray 1 lies 1e-13 degrees below 360
+    project = geometry.coxeter_projection
+
+    def turned(rs):
+        proj = project(rs)
+        a0 = proj[0][1] + 1e-13
+        return [(r, (a - a0) % 360.0) for r, a in proj]
+
+    monkeypatch.setattr(geometry, "coxeter_projection", turned)
+    assert turned(geometry.icosian_600cell())[0][1] == 360.0 - 1e-13
+    code, text = run(capsys, "geometry", "project", "--polytope", "600cell",
+                     "--format", "csv")
+    assert code == 0
+    assert text.split("\n")[1] == "1,0.813473,0.000000"
+
+
 def test_geometry_match(capsys):
     code, out = run(capsys, "geometry", "match", "--polytope", "600cell",
                     "--format", "json")
@@ -595,8 +665,34 @@ def test_geometry_rigidity(capsys):
 
 
 def test_geometry_requires_polytope(capsys):
+    for check in ("construct", "project", "match"):
+        with pytest.raises(SystemExit) as exc:
+            main(["geometry", check])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --polytope" in (
+            capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--polytope", "600cell", "--data", "x.json"],
+    ["project", "--polytope", "600cell", "--data", "x.json"],
+    ["rigidity", "--data", "x.json"],
+    ["rigidity", "--polytope", "600cell"],
+], ids=["construct-data", "project-data", "rigidity-data",
+        "rigidity-polytope"])
+def test_geometry_refuses_flags_it_ignores(capsys, argv):
+    """A geometry check takes only the flags it reads."""
     with pytest.raises(SystemExit) as exc:
-        main(["geometry", "construct"])
+        main(["geometry", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+
+
+def test_geometry_check_is_required(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", "--polytope", "600cell"])
     assert exc.value.code == 2
 
 
@@ -611,7 +707,7 @@ def test_geometry_csv_only_for_project(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "has no csv output" in captured.err
+    assert "invalid choice: 'csv'" in captured.err
 
 
 def test_geometry_match_budget_exit6(capsys, monkeypatch):

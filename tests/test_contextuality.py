@@ -1,6 +1,5 @@
 """Parity certificates, assignment search, and proof decomposition."""
 
-import json
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import PROOFS_120, PROOFS_GOSSET
 from kspoly import contextuality
 from kspoly.contextuality import (Proof, SearchBudgetExceeded,
-                                  certificate_for_bases, certificate_to_json,
+                                  certificate_for_bases,
                                   classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, local_indices,
                                   proof_from_word, verify_parity_proof)
@@ -625,16 +624,3 @@ def test_decomposition_cap(cell120, monkeypatch):
         assert dec.nullity == 3
         assert dec.truncated is truncated
         assert len(dec.proofs) == min(cap, 4)
-
-
-# --------------------------------------------------------------------------
-# JSON
-
-
-def test_certificate_json(cell600):
-    cert = verify_parity_proof(word_proof(cell600, "c"))
-    doc = certificate_to_json(cert)
-    assert doc["valid"] is False
-    assert doc["basis_count"] == 15
-    assert len(doc["offending_rays"]) == 60
-    json.dumps(doc)  # serialisable

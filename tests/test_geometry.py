@@ -17,7 +17,7 @@ from kspoly.geometry import (MatchError, OrthoGraph, RaySet,
                              build_120cell_rays, coxeter_projection, e8_rays,
                              enumerate_bases, icosian_600cell, match_labeling,
                              orthogonality_graph, pentadecagon_classes,
-                             projection_to_csv, rigidity_demo,
+                             rigidity_demo,
                              rotates_by_one_step, saturated)
 from kspoly.golden import (ALPHA, BETA, ZERO, canonical_sign, gvec, mul,
                            phi_map, sign, value, vec_neg, vec_scale,
@@ -654,16 +654,6 @@ def test_projection_spacing_tolerance(h4):
         for i in members:
             delta = abs(proj[i][1] % 12.0 - residue)
             assert min(delta, 12.0 - delta) < 1e-6
-
-
-def test_projection_csv(h4):
-    text = projection_to_csv(coxeter_projection(h4))
-    lines = text.strip().split("\n")
-    assert lines[0] == "ray,radius,angle_deg"
-    assert len(lines) == 61
-    # an angle that rounds to 360 degrees prints as 0
-    assert projection_to_csv([(1.0, 360.0 - 1e-13)]).endswith(
-        "1,1.000000,0.000000\n")
 
 
 def test_coxeter_plane_requires_rotation_eigenvalue(h4, monkeypatch):

@@ -329,14 +329,14 @@ def test_gosset_table_words_minimal(gosset):
 
 def test_600cell_census(cell600):
     *_x, spec = cell600
-    words = enumerate_words(spec, 5, "odd", "600cell")
+    words = enumerate_words(spec, 5, "odd")
     assert {render_word(w) for w in words} == {
         "a", "b", "a c d", "a c e", "a d e", "b c d", "b c e", "b d e"}
 
 
 def test_120cell_length_one(cell120):
     *_x, spec = cell120
-    words = enumerate_words(spec, 1, "odd", "120cell")
+    words = enumerate_words(spec, 1, "odd")
     assert {render_word(w) for w in words} == {"j", "q", "r'", "s'"}
 
 

@@ -9,8 +9,7 @@ from kspoly.raysystem import (Generator, Pentadecagon, PentadecagonLayout,
                               build_basis_table,
                               expand_orbit, parse_word,
                               ray_basis_symbol, shift_mask, shift_position,
-                              symbol_from_word, table_to_csv, table_to_json,
-                              word_to_bases)
+                              symbol_from_word, word_to_bases)
 
 
 def gen_of(gens, label):
@@ -314,20 +313,3 @@ def test_symbol_from_word_property(polytopes, name, data):
     bases = [table.bases[i] for i in word_to_bases(w, table)]
     assert symbol_from_word(w, gens, layout) == ray_basis_symbol(bases,
                                                                  layout)
-
-
-# --------------------------------------------------------------------------
-# exports
-
-
-def test_table_exports(cell600):
-    _, _, table, *_ = cell600
-    doc = table_to_json(table)
-    assert doc["count"] == 75
-    assert doc["bases"][0] == [1, 5, 55, 56]
-    assert doc["origin"][0] == {"index": 1, "generator": "a", "shift": 0}
-    csv_text = table_to_csv(table)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "index,generator,shift,r1,r2,r3,r4"
-    assert lines[1] == "1,a,0,1,5,55,56"
-    assert len(lines) == 76

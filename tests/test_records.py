@@ -24,7 +24,7 @@ def records() -> dict:
     table = raysystem.build_basis_table(layout, gens)
     pm = raysystem.build_profile_matrix(layout, gens)
     m2 = gf2.profile_matrix_mod2(pm)
-    word = raysystem.parse_word("acd", "600cell")
+    word = raysystem.parse_word("acd")
     proof = contextuality.proof_from_word(word, table)
     h4 = geometry.icosian_600cell()
     report = geometry.rigidity_demo()
@@ -73,11 +73,11 @@ def test_replace_keeps_len_overrides():
     own _make would take for the field count: _replace works and checks
     the new fields."""
     word = raysystem.Word(frozenset({"a"}))
-    tagged = word._replace(polytope="600cell")
-    assert tagged == raysystem.Word(frozenset({"a"}), "600cell")
-    assert len(tagged) == 1
+    longer = word._replace(letters=frozenset({"a", "b", "c"}))
+    assert longer == raysystem.Word(frozenset({"a", "b", "c"}))
+    assert len(longer) == 3
     with pytest.raises(ValueError):
-        word._replace(polytope="24cell")
+        word._replace(letters=frozenset({"a", "A"}))
     rs = geometry.icosian_600cell()
     assert rs._replace(polytope="h4") == ("h4", rs.vectors)
     assert len(rs._replace(polytope="h4")) == 60

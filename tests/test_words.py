@@ -36,13 +36,13 @@ def test_roundtrip_identity():
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(("600cell", "120cell", "gosset")), st.data())
 def test_roundtrip_property(polytopes, name, data):
-    """Rendering then parsing gives back any tagged subset of a
-    polytope's generator letters."""
+    """Rendering then parsing gives back any subset of a polytope's
+    generator letters."""
     _, gens, *_rest = polytopes[name]
     letters = data.draw(st.frozensets(st.sampled_from(
         [g.label for g in gens])))
-    w = Word(letters, name)
-    assert parse_word(render_word(w), name) == w
+    w = Word(letters)
+    assert parse_word(render_word(w)) == w
 
 
 def test_empty_word():
@@ -84,15 +84,6 @@ def test_compose_self_inverse_and_identity():
     empty = parse_word("")
     assert compose_words(w, w) == Word(frozenset())
     assert compose_words(w, empty) == w
-
-
-def test_compose_rejects_mixed_polytopes():
-    u = parse_word("a", polytope="600cell")
-    v = parse_word("b", polytope="120cell")
-    with pytest.raises(ValueError):
-        compose_words(u, v)
-    # an untagged word composes with anything
-    assert compose_words(u, parse_word("b")).polytope == "600cell"
 
 
 def test_group_laws_random(polytopes):
