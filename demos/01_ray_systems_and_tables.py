@@ -8,8 +8,9 @@ tables from the embedded generator data and shows the wraparound rule in
 action.
 """
 
-from kspoly import (basis_profile, build_basis_table, expand_orbit,
-                    load_polytope, ray_basis_symbol)
+from kspoly.datasets import load_polytope
+from kspoly.raysystem import (basis_profile, build_basis_table, expand_orbit,
+                              ray_basis_symbol)
 
 for name in ("600cell", "120cell", "gosset"):
     layout, gens = load_polytope(name)

@@ -8,10 +8,10 @@ codewords for the 8-d polytope), but its dual is tiny, so the MacWilliams
 identities give the full length-by-length census exactly.
 """
 
-from kspoly import load_polytope, odd_weight_total
+from kspoly.datasets import load_polytope
 from kspoly.gf2 import (dual_weight_distribution, enumerate_words,
                         gf2_nullspace, macwilliams_transform,
-                        profile_matrix_mod2)
+                        odd_weight_total, profile_matrix_mod2)
 from kspoly.raysystem import build_profile_matrix, render_word
 
 for name in ("600cell", "120cell", "gosset"):
@@ -22,8 +22,8 @@ for name in ("600cell", "120cell", "gosset"):
     dual = dual_weight_distribution(m2)
     dist = macwilliams_transform(dual, spec.n)
     total = odd_weight_total(dist)
-    print(f"{name}: M is {pm.shape[0]}x{pm.shape[1]}, nullity {spec.k}, "
-          f"dual size {dual.total()}")
+    print(f"{name}: M is {len(pm.row_labels)}x{len(pm.col_labels)}, "
+          f"nullity {spec.k}, dual size {dual.total()}")
     print(f"  parity proofs: {total} (= 2^{total.bit_length() - 1})")
     odd = [(w, c) for w, c in dist.items() if w % 2]
     shown = odd if len(odd) <= 6 else odd[:5] + [("...", "...")] + odd[-1:]

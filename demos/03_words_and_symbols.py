@@ -7,9 +7,10 @@ determines all the characteristics of its parity proof from the generator
 profiles alone, with no need to expand any bases.
 """
 
-from kspoly import (compose_words, load_polytope, parse_word, ray_basis_symbol,
-                    render_word, symbol_from_word, word_to_bases)
-from kspoly.raysystem import build_basis_table
+from kspoly.datasets import load_polytope
+from kspoly.raysystem import (build_basis_table, compose_words, parse_word,
+                              ray_basis_symbol, render_word, symbol_from_word,
+                              word_to_bases)
 
 layout, gens = load_polytope("120cell")
 table = build_basis_table(layout, gens)

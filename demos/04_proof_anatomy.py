@@ -9,11 +9,11 @@ matrix to a proof's bases and taking its GF(2) nullspace exposes every
 smaller proof hiding inside.
 """
 
-from kspoly import load_polytope, parse_word
+from kspoly.datasets import load_polytope
 from kspoly.contextuality import (classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, local_indices,
                                   proof_from_word, verify_parity_proof)
-from kspoly.raysystem import build_basis_table, ray_basis_symbol
+from kspoly.raysystem import build_basis_table, parse_word, ray_basis_symbol
 
 layout, gens = load_polytope("120cell")
 table = build_basis_table(layout, gens)

@@ -14,7 +14,7 @@ bijection that carries bases to bases and turns w into the tables'
 wraparound σ.
 """
 
-from kspoly import load_polytope
+from kspoly.datasets import load_polytope
 from kspoly.geometry import (build_120cell_rays, coxeter_projection,
                              e8_rays, enumerate_bases,
                              icosian_600cell, match_labeling,
@@ -48,12 +48,12 @@ for name, (build, d) in builders.items():
     print()
 
 print("why the orthogonality relations do not pin the 600-cell down:")
-report = rigidity_demo()
-for claim in report.claims:
+claims = rigidity_demo()
+for claim in claims:
     if "not orthogonal" in claim.name or "phi(v5)" in claim.name \
             or "phi(v6)" in claim.name:
         mark = "ok" if claim.passed else "FAILED"
         print(f"  [{mark}] {claim.name}")
-print(f"  all {len(report.claims)} claims pass: {report.all_passed}")
+print(f"  all {len(claims)} claims pass: {all(c.passed for c in claims)}")
 print("  the 8-d images satisfy every 4-d orthogonality plus extra ones,")
 print("  so no unitary can relate the two sets: the 600-cell is not rigid.")

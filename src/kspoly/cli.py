@@ -6,11 +6,11 @@ csv; `_report` renders the one --format asks for.
 Exit codes: 0 success; 2 bad arguments (a format or flag the command does
 not take included), word parse error, a KSPOLY_NODE_BUDGET that is not a
 non-negative integer, a --data file that is missing, unreadable or not a
-valid dataset, or an --out path that cannot be written; 3 internal
+valid dataset, or output that --out or stdout cannot take (a missing
+directory, a full disk, a closed pipe: one line, no traceback); 3 internal
 counting inconsistency; 4 word is not an odd nullspace element where one
 is required; 5 failed geometric claim; 6 a search or enumeration ran past
-its limit (assignment node budget, match search budget, enumeration
-size).
+its limit (assignment node budget, match search budget, enumeration size).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -54,14 +55,19 @@ def _report(args, doc: dict, lines: Iterable[str],
         text = buf.getvalue()
     else:
         text = "\n".join(lines) + "\n"
-    if not args.out:
-        sys.stdout.write(text)
-        return
     try:
-        Path(args.out).write_text(text)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:  # flushed, so a full disk or a closed pipe fails in here
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc.strerror or exc}",
-                       EXIT_USAGE)
+        if not args.out and sys.stdout is sys.__stdout__:
+            # the bytes left in the buffer must not fail again at exit
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise CliError(f"cannot write {args.out or 'stdout'}: "
+                       f"{exc.strerror or exc}", EXIT_USAGE)
 
 
 def _load_table(args):
@@ -82,19 +88,20 @@ def _load_table(args):
 def cmd_gen_bases(args) -> int:
     layout, gens, table = _load_table(args)
     n_bases, d = len(table.bases), layout.dimension
+    origin = [(g.label, s) for g in gens for s in range(raysystem.ORBIT)]
     doc = {"polytope": layout.polytope, "dimension": d, "count": n_bases,
            "bases": table.bases,  # json writes tuples as arrays
            "origin": [{"index": i, "generator": lab, "shift": shift}
-                      for i, (lab, shift) in enumerate(table.origin, 1)]}
+                      for i, (lab, shift) in enumerate(origin, 1)]}
     lines = chain([f"# {layout.polytope}: {n_bases} bases, "
                    f"{len(gens)} generators x 15 shifts"],
                   (f"{i}\t{lab}\t{shift}\t{' '.join(map(str, b))}"
                    for i, (b, (lab, shift))
-                   in enumerate(zip(table.bases, table.origin), 1)))
+                   in enumerate(zip(table.bases, origin), 1)))
     rows = chain([["index", "generator", "shift"]
                   + [f"r{j}" for j in range(1, d + 1)]],
                  ([i, lab, shift, *b] for i, (b, (lab, shift))
-                  in enumerate(zip(table.bases, table.origin), 1)))
+                  in enumerate(zip(table.bases, origin), 1)))
     _report(args, doc, lines, rows)
     return EXIT_OK
 
@@ -197,12 +204,11 @@ def cmd_word(args) -> int:
         if not word.letters:
             raise CliError("cannot decompose the empty word",
                            EXIT_NOT_PROOF)
-        pm = raysystem.build_profile_matrix(layout, gens)
-        vec = gf2.word_to_vector(word, pm.col_labels)
-        if not gf2.in_nullspace(gf2.profile_matrix_mod2(pm), vec):
+        # no odd ray iff M w = 0: p's rays occur as often as profiles count p
+        proof = contextuality.proof_from_word(word, table)
+        if contextuality.verify_parity_proof(proof).offending_rays:
             raise CliError(f"word {doc['word']} is not a nullspace element",
                            EXIT_NOT_PROOF)
-        proof = contextuality.proof_from_word(word, table)
         dec = contextuality.incidence_nullspace_proofs(proof)
         proper = [s for s in dec.proofs
                   if s.basis_indices != proof.basis_indices]
@@ -295,14 +301,15 @@ def cmd_match(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    report = geometry.rigidity_demo()
+    claims = geometry.rigidity_demo()
+    all_passed = all(c.passed for c in claims)
     doc = {"check": "rigidity",
            "claims": [{"name": c.name, "passed": c.passed,
-                       "detail": c.detail} for c in report.claims],
-           "all_passed": report.all_passed}
+                       "detail": c.detail} for c in claims],
+           "all_passed": all_passed}
     _report(args, doc, [f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
-                        for c in report.claims])
-    if not report.all_passed:
+                        for c in claims])
+    if not all_passed:
         raise CliError("rigidity demonstration claims failed", EXIT_GEOMETRY)
     return EXIT_OK
 

@@ -302,7 +302,7 @@ def _incidence(p: Proof) -> BitMatrix:
     for col, b in enumerate(cols):
         for r in b:
             rows[r] |= 1 << col
-    return BitMatrix(len(rows), len(cols), tuple(rows))
+    return BitMatrix(len(cols), tuple(rows))
 
 
 def incidence_nullspace_proofs(p: Proof) -> Decomposition:

@@ -17,7 +17,7 @@ computes it, and σ is the one symmetry any graph here has: each graph is
 built from one ray per block of fifteen, each row carried round its block
 by σ, the clique walk starts only from one ray per block, and the
 pentadecagon classes are the blocks.  A table is then validated by an
-equivariant match: a bijection carrying bases to bases and w to σ.
+equivariant match: a bijection taking bases to bases and w to some σ^j.
 The triacontagonal (Coxeter-plane) projection applies w only through the
 same exact reflections: the plane is spanned by the cos/sin-weighted sums of
 w's 30 exact powers of 2e_0.  The only floating point left is those two
@@ -83,7 +83,7 @@ def _reflect(v: GoldenVector, root: GoldenVector) -> GoldenVector:
     return tuple(out)
 
 
-class RaySet(namedtuple("RaySet", "polytope vectors")):
+class RaySet(namedtuple("RaySet", "vectors")):
     """One representative golden vector per antipodal pair of polytope
     vertices, sign-canonical (first nonzero coordinate positive), numbered
     round the orbits of w.
@@ -100,8 +100,7 @@ class RaySet(namedtuple("RaySet", "polytope vectors")):
 
     __slots__ = ()
 
-    def __new__(cls, polytope: str,
-                vectors: tuple[GoldenVector, ...]) -> RaySet:
+    def __new__(cls, vectors: tuple[GoldenVector, ...]) -> RaySet:
         if not vectors:
             raise ValueError("a ray set needs at least one ray")
         dimension = len(vectors[0])
@@ -125,7 +124,7 @@ class RaySet(namedtuple("RaySet", "polytope vectors")):
             if v != numbered[start] or len(numbered) - start != ORBIT:
                 raise ValueError("w does not map the rays onto themselves "
                                  "in orbits of fifteen")
-        return super().__new__(cls, polytope, tuple(numbered))
+        return super().__new__(cls, tuple(numbered))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -177,7 +176,7 @@ def icosian_600cell() -> RaySet:
     rays = {canonical_sign(v) for v in vectors}
     if len(rays) != 60:
         raise RuntimeError("antipodal merge did not yield 60 rays")
-    return RaySet("600cell", tuple(rays))
+    return RaySet(tuple(rays))
 
 
 def e8_rays() -> RaySet:
@@ -191,7 +190,7 @@ def e8_rays() -> RaySet:
     for w in images:
         if golden.dot(w, w) != (4, 0):
             raise RuntimeError(f"root {w} has squared norm != 4")
-    return RaySet("gosset", tuple(images))
+    return RaySet(tuple(images))
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def build_120cell_rays() -> RaySet:
             for t in range(4))))
     if len(centers) != 300:
         raise RuntimeError("cell centers did not give 300 rays")
-    return RaySet("120cell", tuple(centers))
+    return RaySet(tuple(centers))
 
 
 # --------------------------------------------------------------------------
@@ -531,9 +530,10 @@ def match_labeling(computed: Sequence[Basis],
 
     Each side's rays (the ones that occur, sorted) are numbered in blocks
     of fifteen.  Every RaySet is numbered round the Coxeter element w, so
-    σ is w on its ids, and j = 1 on all three polytopes says that the
-    wraparound is w.  The search is `_equivariant_search` on the two
-    basis co-occurrence graphs; bases must then map to bases.
+    σ is w on its ids.  j = 1 is tried first and fits all three polytopes,
+    but so does every unit j mod 15: which power of w the wraparound is
+    stays open (ROADMAP item 1).  The search is `_equivariant_search` on
+    the two basis co-occurrence graphs; bases must then map to bases.
 
     Returns {computed ray id -> reference ray id}; raises MatchError when
     counts differ or no such bijection exists, and EnumerationLimitError
@@ -572,15 +572,7 @@ class RigidityClaim(NamedTuple):
     detail: str
 
 
-class RigidityReport(NamedTuple):
-    claims: tuple[RigidityClaim, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.claims)
-
-
-def rigidity_demo() -> RigidityReport:
+def rigidity_demo() -> tuple[RigidityClaim, ...]:
     """The six-vector witness that the 600-cell's orthogonality relations
     do not pin it down: the 8-d images of its rays satisfy every 4-d
     orthogonality, plus extra ones with no 4-d counterpart."""
@@ -627,4 +619,4 @@ def rigidity_demo() -> RigidityReport:
           golden.to_text(golden.dot(v[1], v[6])))
     claim("v2 not orthogonal to v5", not g_orth(2, 5),
           golden.to_text(golden.dot(v[2], v[5])))
-    return RigidityReport(tuple(claims))
+    return tuple(claims)

@@ -36,16 +36,13 @@ class WeightTransformError(ArithmeticError):
 # bit matrices
 
 
-class BitMatrix(namedtuple("BitMatrix", "n_rows n_cols rows")):
+class BitMatrix(namedtuple("BitMatrix", "n_cols rows")):
     __slots__ = ()
 
-    def __new__(cls, n_rows: int, n_cols: int,
-                rows: tuple[int, ...]) -> BitMatrix:
-        if len(rows) != n_rows:
-            raise ValueError("row count mismatch")
+    def __new__(cls, n_cols: int, rows: tuple[int, ...]) -> BitMatrix:
         if any(r < 0 or r >> n_cols for r in rows):
             raise ValueError("row has bits outside the column range")
-        return super().__new__(cls, n_rows, n_cols, rows)
+        return super().__new__(cls, n_cols, rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
@@ -58,7 +55,7 @@ class BitMatrix(namedtuple("BitMatrix", "n_rows n_cols rows")):
                     bits |= 1 << j
                 width = max(width, j + 1)
             packed.append(bits)
-        return cls(len(packed), width, tuple(packed))
+        return cls(width, tuple(packed))
 
 
 def profile_matrix_mod2(pm: ProfileMatrix) -> BitMatrix:
@@ -294,13 +291,6 @@ def _support(v: int) -> tuple[int, ...]:
 
 def vector_to_word(v: int, labels: tuple[str, ...]) -> Word:
     return Word(frozenset(labels[i] for i in _support(v)))
-
-
-def word_to_vector(w: Word, labels: tuple[str, ...]) -> int:
-    v = 0
-    for tok in w.letters:
-        v |= 1 << labels.index(tok)
-    return v
 
 
 def enumerate_words(spec: CodeSpec, max_weight: int,

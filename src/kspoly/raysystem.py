@@ -143,7 +143,6 @@ class BasisTable(NamedTuple):
     layout: PentadecagonLayout
     generators: tuple[Generator, ...]
     bases: tuple[Basis, ...]
-    origin: tuple[tuple[str, int], ...]  # (generator label, shift) per basis
 
     def orbit_indices(self, label: str) -> range:
         """Table indices of the fifteen bases generated by one letter."""
@@ -152,21 +151,13 @@ class BasisTable(NamedTuple):
                 return range(ORBIT * i, ORBIT * (i + 1))
         raise KeyError(f"unknown generator letter {label!r}")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.generators)
-
 
 def build_basis_table(layout: PentadecagonLayout,
                       generators: Sequence[Generator]) -> BasisTable:
     """Expand every generator orbit and verify the global invariants."""
     check_generators(layout, generators)
-    bases: list[Basis] = []
-    origin: list[tuple[str, int]] = []
-    for g in generators:
-        for s in range(ORBIT):
-            bases.append(expand_orbit(g, layout, s))
-            origin.append((g.label, s))
+    bases = [expand_orbit(g, layout, s)
+             for g in generators for s in range(ORBIT)]
     if len(set(bases)) != len(bases):
         raise ValueError("duplicate basis across generator orbits")
     # uniform over the rays that occur (partial generator sets leave the
@@ -174,7 +165,7 @@ def build_basis_table(layout: PentadecagonLayout,
     counts = set(ray_occurrences(bases).values())
     if len(counts) != 1:
         raise ValueError(f"non-uniform ray occurrence: {sorted(counts)}")
-    return BasisTable(layout, tuple(generators), tuple(bases), tuple(origin))
+    return BasisTable(layout, tuple(generators), tuple(bases))
 
 
 def ray_occurrences(bases: Iterable[Basis]) -> Counter[int]:
@@ -214,13 +205,6 @@ class ProfileMatrix(namedtuple("ProfileMatrix",
                 raise ValueError("profile-matrix columns do not all sum "
                                  "to the basis size")
         return super().__new__(cls, row_labels, col_labels, entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_labels), len(self.col_labels))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
 
 def build_profile_matrix(layout: PentadecagonLayout,

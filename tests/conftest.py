@@ -19,6 +19,11 @@ def load_fixture(name: str):
     return json.loads((DATA / name).read_text())
 
 
+def word_vector(word, labels: tuple[str, ...]) -> int:
+    """A word as a GF(2) vector: bit j set iff labels[j] is a letter."""
+    return sum(1 << labels.index(tok) for tok in word.letters)
+
+
 @pytest.fixture(scope="session")
 def polytopes():
     """polytope -> (layout, generators, table, profile matrix, code spec)."""

@@ -81,7 +81,7 @@ TRACED_RUNS = {
         "raysystem.build_profile_matrix", "gf2.is_minimal_word",
         "gf2.gf2_nullspace"},
     "word --polytope 600cell acd decompose": TABLE | {
-        "raysystem.build_profile_matrix",
+        "contextuality.verify_parity_proof",
         "contextuality.incidence_nullspace_proofs",
         "contextuality.classify_decomposition",
         "raysystem.ray_basis_symbol", "gf2.gf2_nullspace"},

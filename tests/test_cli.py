@@ -1,6 +1,7 @@
 """CLI subcommands: formats, exit codes, determinism, schema validity."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -110,6 +111,52 @@ def test_out_unwritable_exit2(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith(f"kspoly: cannot write {target}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
+@pytest.mark.parametrize("command", [
+    "weights --polytope 600cell", "gen-bases --polytope gosset --format json"])
+def test_stdout_unwritable_exit2(target, command):
+    """A reader that closes the pipe at once, or a full device: one
+    stderr line and exit 2, with no traceback and no second report when
+    the interpreter flushes stdout at exit.  Run with stdout buffered, as
+    by default, so that a short output is still buffered when it fails."""
+    if target == "closed-pipe":
+        read, out = os.pipe()
+        os.close(read)
+    elif os.path.exists(target):
+        out = os.open(target, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {target} on this system")
+    env = dict(os.environ, PYTHONPATH=str(Path(kspoly.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "kspoly.cli", *command.split()],
+            stdout=out, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(out)
+    assert done.returncode == 2
+    assert done.stderr.startswith("kspoly: cannot write stdout: ")
+    assert done.stderr.count("\n") == 1
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_unwritable_in_process_exit2(capsys, monkeypatch):
+    """An in-process caller's stdout that fails is reported like --out,
+    and the process's own fd 1 is left alone."""
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(["weights", "--polytope", "600cell"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"kspoly: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 def test_data_override(tmp_path, capsys):
@@ -584,8 +631,11 @@ def test_word_empty_exit4(capsys, action):
 
 
 def test_word_decompose_non_nullspace_exit4(capsys):
-    code, _ = run(capsys, "word", "--polytope", "120cell", "c", "decompose")
+    code = main(["word", "--polytope", "120cell", "c", "decompose"])
+    captured = capsys.readouterr()
     assert code == 4
+    assert captured.out == ""
+    assert captured.err == "kspoly: word c is not a nullspace element\n"
 
 
 # --------------------------------------------------------------------------
@@ -730,6 +780,17 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     with -S, so that no site .pth file can load them either."""
     probe = ("import kspoly.cli, sys\n"
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(kspoly.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_package_import_loads_no_module():
+    """Each public name has one import path, its module: `import kspoly`
+    gives the docstring and `__version__` and loads no kspoly module."""
+    probe = ("import kspoly, sys\n"
+             "print([m for m in sys.modules if m.startswith('kspoly.')])")
     env = dict(os.environ, PYTHONPATH=str(Path(kspoly.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PROOFS_120, PROOFS_GOSSET
+from conftest import PROOFS_120, PROOFS_GOSSET, word_vector
 from kspoly import contextuality
 from kspoly.contextuality import (Proof, SearchBudgetExceeded,
                                   certificate_for_bases,
                                   classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, local_indices,
                                   proof_from_word, verify_parity_proof)
+from kspoly.gf2 import in_nullspace, profile_matrix_mod2
 from kspoly.raysystem import (ORBIT, Word, parse_word, ray_basis_symbol,
                               ray_index, shift_position, word_to_bases)
 
@@ -66,6 +67,29 @@ def test_all_fixture_words_verify(cell120, gosset):
         assert verify_parity_proof(word_proof(cell120, text)).valid, text
     for text, _ in PROOFS_GOSSET:
         assert verify_parity_proof(word_proof(gosset, text)).valid, text
+
+
+@pytest.mark.parametrize("name", ["600cell", "120cell", "gosset"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_no_offending_rays_iff_nullspace_word(polytopes, name, data):
+    """`word … decompose` tests a word through its parity certificate: a
+    ray of pentadecagon p occurs as often as p is counted over the letters'
+    profiles, so no ray is odd iff the counting matrix kills the word.
+    Half the words drawn are nullspace words, half are shifted off it."""
+    _, _, table, pm, spec = polytopes[name]
+    labels = pm.col_labels
+    v = 0
+    for b in data.draw(st.lists(st.sampled_from(spec.nullspace_basis))):
+        v ^= b
+    if data.draw(st.booleans()):
+        v ^= data.draw(st.integers(1, (1 << len(labels)) - 1))
+    assume(v)
+    word = Word(frozenset(lab for j, lab in enumerate(labels) if v >> j & 1))
+    cert = verify_parity_proof(proof_from_word(word, table))
+    assert word_vector(word, labels) == v
+    assert (not cert.offending_rays) == in_nullspace(profile_matrix_mod2(pm),
+                                                     v)
 
 
 # --------------------------------------------------------------------------
@@ -317,9 +341,10 @@ def test_bans_keep_the_plain_assignment_on_words(polytopes):
     not compared."""
     rng = random.Random(1)
     compared = found = 0
-    for _layout, _gens, table, *_ in polytopes.values():
-        words = [[letter] for letter in table.labels]
-        words += [rng.sample(table.labels, rng.choice((2, 3)))
+    for _layout, gens, table, *_ in polytopes.values():
+        labels = [g.label for g in gens]
+        words = [[letter] for letter in labels]
+        words += [rng.sample(labels, rng.choice((2, 3)))
                   for _ in range(10)]
         for letters in words:
             indices = word_to_bases(Word(frozenset(letters)), table)

@@ -7,7 +7,8 @@ import jsonschema
 import pytest
 
 from kspoly.datasets import data_text, expected_counts, load_polytope
-from kspoly.gf2 import in_nullspace, profile_matrix_mod2, word_to_vector
+from conftest import word_vector
+from kspoly.gf2 import in_nullspace, profile_matrix_mod2
 from kspoly.raysystem import basis_profile, parse_word
 
 # guards against transcription drift in the embedded data files
@@ -107,7 +108,7 @@ def test_gosset_nullspace_words_fixture(gosset, gosset_words):
     m2 = profile_matrix_mod2(pm)
     vectors = []
     for toks in gosset_words:
-        vec = word_to_vector(parse_word(" ".join(toks)), pm.col_labels)
+        vec = word_vector(parse_word(" ".join(toks)), pm.col_labels)
         assert in_nullspace(m2, vec), toks
         vectors.append(vec)
     assert len(vectors) == 131 == spec.k
@@ -135,7 +136,7 @@ def test_120cell_nullspace_words_fixture(cell120):
     m2 = profile_matrix_mod2(pm)
     vectors = []
     for text in NULLSPACE_WORDS_120:
-        vec = word_to_vector(parse_word(text), pm.col_labels)
+        vec = word_vector(parse_word(text), pm.col_labels)
         assert in_nullspace(m2, vec), text
         vectors.append(vec)
     assert len(vectors) == 30 == spec.k

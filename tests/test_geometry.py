@@ -167,8 +167,8 @@ def test_600cell_cliques(h4):
 
 def scale_by_alpha(rs):
     """Coordinatewise multiplication by a: the second, scaled 600-cell."""
-    return RaySet(rs.polytope, tuple(canonical_sign(vec_scale(ALPHA, v))
-                                     for v in rs.vectors))
+    return RaySet(tuple(canonical_sign(vec_scale(ALPHA, v))
+                        for v in rs.vectors))
 
 
 def test_scale_by_alpha(h4):
@@ -345,7 +345,7 @@ def test_single_ray_graph(h4):
     """One ray is no union of w's orbits, so it has no RaySet and no
     graph: a one-vertex graph is no block of fifteen."""
     with pytest.raises(ValueError, match="orbits of fifteen"):
-        RaySet("600cell", h4.vectors[:1])
+        RaySet(h4.vectors[:1])
     with pytest.raises(ValueError, match="blocks of fifteen"):
         OrthoGraph(1, (0,))
 
@@ -423,7 +423,7 @@ def test_rays_numbered_round_w(three):
 def test_rayset_numbering_ignores_input_order(three, data):
     for rs in three.values():
         shuffled = data.draw(st.permutations(rs.vectors))
-        assert RaySet(rs.polytope, tuple(shuffled)) == rs
+        assert RaySet(tuple(shuffled)) == rs
 
 
 # simple-system Gram matrices at root norm 4, by dimension (H4, E8):
@@ -474,7 +474,7 @@ def test_coxeter_permutation_identity_off_invariant_sets(h4):
     for vectors, match in ((h4.vectors[:1], "orbits of fifteen"),
                            (halves, "golden ring")):
         with pytest.raises(ValueError, match=match):
-            RaySet("600cell", vectors)
+            RaySet(vectors)
     with pytest.raises(ValueError, match="golden ring"):
         geometry._reflect(gvec(1, 0, 0, 0), gvec(1, 1, 1, 1))
 
@@ -487,17 +487,17 @@ def test_rayset_needs_w_orbits_of_fifteen(h4, monkeypatch):
                            ((), "at least one ray"),
                            ((gvec(2, 0, 0),), "dimension 3")):
         with pytest.raises(ValueError, match=match):
-            RaySet("600cell", vectors)
+            RaySet(vectors)
     minus_one = [gvec(*(2 * (i == j) for j in range(4))) for i in range(4)]
     monkeypatch.setitem(geometry._SIMPLE_ROOTS, 4, minus_one)
     with pytest.raises(ValueError, match="orbits of fifteen"):
-        RaySet("600cell", h4.vectors)
+        RaySet(h4.vectors)
 
 
 def test_transported_graph_matches_all_pairs(three, h4):
     for rs in (*three.values(), scale_by_alpha(h4)):
         g = orthogonality_graph(rs)
-        assert g.adjacency == _all_pairs_adjacency(rs.vectors), rs.polytope
+        assert g.adjacency == _all_pairs_adjacency(rs.vectors), len(rs)
 
 
 def test_graphs_are_sigma_invariant(three, h4):
@@ -513,10 +513,10 @@ def test_graphs_are_sigma_invariant(three, h4):
 
 
 def test_transported_cliques_match_identity(three):
-    for rs in three.values():
+    for name, rs in three.items():
         g = orthogonality_graph(rs)
         assert (enumerate_bases(g, rs.dimension)
-                == _plain_cliques(g.adjacency, rs.dimension)), rs.polytope
+                == _plain_cliques(g.adjacency, rs.dimension)), name
 
 
 def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
@@ -709,9 +709,11 @@ def test_match_count_mismatch(h4, gosset):
 
 
 def test_match_is_equivariant(three, polytopes):
-    """On all three polytopes the match turns w into the wraparound itself
-    (j = 1): phi(w x) = σ(phi x), and every computed basis lands on a
-    table basis."""
+    """On all three polytopes the match found turns w into the wraparound
+    itself, phi(w x) = σ(phi x), and every computed basis lands on a table
+    basis.  j = 1 is only the first unit the search tries: every unit j
+    mod 15 admits such a map, so this does not say which power of w the
+    wraparound is (ROADMAP item 1)."""
     for name, rs in three.items():
         table = polytopes[name][2]
         computed = enumerate_bases(orthogonality_graph(rs), rs.dimension)
@@ -788,9 +790,9 @@ def test_match_rejects_wrong_structure(cell600):
 
 
 def test_rigidity_demo_passes():
-    report = rigidity_demo()
-    assert report.all_passed
-    names = [c.name for c in report.claims]
+    claims = rigidity_demo()
+    assert all(c.passed for c in claims)
+    names = [c.name for c in claims]
     assert "v1 not orthogonal to v6" in names
     assert "v2 not orthogonal to v5" in names
 

@@ -43,7 +43,7 @@ def random_matrix(rng, max_rows=8, max_cols=20) -> BitMatrix:
     n_rows = rng.randrange(1, max_rows + 1)
     n_cols = rng.randrange(1, max_cols + 1)
     rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
-    return BitMatrix(n_rows, n_cols, rows)
+    return BitMatrix(n_cols, rows)
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_eliminate_reduced_echelon(shape):
 def test_nullspace_dimensions(polytopes):
     expected = {"600cell": 4, "120cell": 30, "gosset": 131}
     for name, (*_uv, pm, spec) in polytopes.items():
-        assert spec.n == pm.shape[1]
+        assert spec.n == len(pm.col_labels)
         assert spec.k == expected[name]
         m = profile_matrix_mod2(pm)
         assert brute_rank(m.rows, m.n_cols) + spec.k == spec.n
@@ -128,7 +128,7 @@ def test_dual_sizes(polytopes):
 
 
 def test_dual_of_zero_matrix():
-    m = BitMatrix(3, 7, (0, 0, 0))
+    m = BitMatrix(7, (0, 0, 0))
     dual = dual_weight_distribution(m)
     assert dual.counts == {0: 1}
     dist = macwilliams_transform(dual, 7)
@@ -229,7 +229,7 @@ def test_transform_rejects_bad_dual():
 def test_dual_rank_limit():
     rng = random.Random(5)
     rows = tuple(rng.getrandbits(40) | (1 << i) for i in range(30))
-    m = BitMatrix(30, 40, rows)
+    m = BitMatrix(40, rows)
     with pytest.raises(EnumerationLimitError):
         dual_weight_distribution(m)
 

@@ -155,11 +155,13 @@ def test_golden_table4(cell600, table4_rows):
         assert set(built) == set(printed)
 
 
-def test_origin_annotations(cell600):
-    _, gens, table, *_ = cell600
-    assert table.origin[0] == ("a", 0)
-    assert table.origin[16] == ("b", 1)
-    assert table.orbit_indices("c") == range(30, 45)
+def test_origin_annotations(polytopes):
+    """Basis i is shift i % 15 of generator i // 15, the origin that
+    `gen-bases` prints (its columns are pinned by the snapshots)."""
+    for layout, gens, table, *_ in polytopes.values():
+        assert table.bases == tuple(expand_orbit(gens[i // 15], layout, i % 15)
+                                    for i in range(len(table.bases)))
+    assert polytopes["600cell"][2].orbit_indices("c") == range(30, 45)
 
 
 # --------------------------------------------------------------------------
@@ -195,15 +197,15 @@ def test_profiles_120cell_subscripts(cell120):
 def test_profile_matrix_shapes(polytopes):
     expected = {"600cell": (4, 5), "120cell": (20, 45), "gosset": (8, 135)}
     for name, (_, _, _, pm, _) in polytopes.items():
-        assert pm.shape == expected[name]
+        assert (len(pm.row_labels), len(pm.col_labels)) == expected[name]
         d = 8 if name == "gosset" else 4
-        for j in range(pm.shape[1]):
-            assert sum(pm.column(j)) == d
+        assert all(sum(col) == d for col in zip(*pm.entries))
 
 
 def test_profile_matrix_column_a(cell600):
     *_, pm, _ = cell600
-    assert pm.column(pm.col_labels.index("a")) == (2, 0, 0, 2)
+    j = pm.col_labels.index("a")
+    assert tuple(row[j] for row in pm.entries) == (2, 0, 0, 2)
 
 
 # --------------------------------------------------------------------------

@@ -27,20 +27,19 @@ def records() -> dict:
     word = raysystem.parse_word("acd")
     proof = contextuality.proof_from_word(word, table)
     h4 = geometry.icosian_600cell()
-    report = geometry.rigidity_demo()
     out = [layout.pentadecagons[0], layout, gens[0], table, pm, word,
            raysystem.symbol_from_word(word, gens, layout), m2,
            gf2.nullspace_of_profiles(pm), gf2.dual_weight_distribution(m2),
            proof, contextuality.verify_parity_proof(proof),
            contextuality.incidence_nullspace_proofs(proof), h4,
-           geometry.orthogonality_graph(h4), report.claims[0], report]
+           geometry.orthogonality_graph(h4), geometry.rigidity_demo()[0]]
     return {type(r).__name__: r for r in out}
 
 
 NAMES = ("Pentadecagon", "PentadecagonLayout", "Generator", "BasisTable",
          "ProfileMatrix", "Word", "RayBasisSymbol", "BitMatrix", "CodeSpec",
          "WeightDistribution", "Proof", "ParityCertificate", "Decomposition",
-         "RaySet", "OrthoGraph", "RigidityClaim", "RigidityReport")
+         "RaySet", "OrthoGraph", "RigidityClaim")
 
 
 def test_every_record_is_listed():
@@ -79,7 +78,8 @@ def test_replace_keeps_len_overrides():
     with pytest.raises(ValueError):
         word._replace(letters=frozenset({"a", "A"}))
     rs = geometry.icosian_600cell()
-    assert rs._replace(polytope="h4") == ("h4", rs.vectors)
-    assert len(rs._replace(polytope="h4")) == 60
+    reordered = rs._replace(vectors=tuple(reversed(rs.vectors)))
+    assert reordered == rs  # renumbered round w from the least ray
+    assert len(reordered) == 60
     with pytest.raises(ValueError):
         rs._replace(vectors=rs.vectors[1:])  # no longer closed under w
