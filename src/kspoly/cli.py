@@ -7,17 +7,16 @@ Exit codes: 0 success; 2 bad arguments (a format or flag the command does
 not take included), word parse error, a KSPOLY_NODE_BUDGET that is not a
 non-negative integer, a --data file that is missing, unreadable or not a
 valid dataset, or output that --out or stdout cannot take (a missing
-directory, a full disk, a closed pipe: one line, no traceback); 3 internal
-counting inconsistency; 4 word is not an odd nullspace element where one
-is required; 5 failed geometric claim; 6 a search or enumeration ran past
-its limit (assignment node budget, match search budget, enumeration size).
+directory, a full disk, a closed pipe, for --help too: one line, no
+traceback); 3 internal counting inconsistency; 4 word is not an odd
+nullspace element where one is required; 5 failed geometric claim; 6 a
+search or enumeration ran past its limit (assignment node budget, match
+search budget, enumeration size).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -45,29 +44,24 @@ class CliError(Exception):
 
 def _report(args, doc: dict, lines: Iterable[str],
             rows: Iterable[Sequence] = ()) -> None:
-    """Write doc as json, rows as csv or lines as text to --out or stdout:
-    only the form --format asks for is built, so lines and rows may be lazy."""
+    """Write doc as json, rows as csv or lines as text to --out or stdout,
+    which `main` flushes: only the form --format asks for is built, so
+    lines and rows may be lazy.  No csv field (a number, a header or a
+    generator letter) holds a comma, a quote or a newline to escape."""
     if args.format == "json":
         text = json.dumps(doc, indent=1) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        text = buf.getvalue()
+        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
     else:
         text = "\n".join(lines) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
     try:
-        if args.out:
-            Path(args.out).write_text(text)
-        else:  # flushed, so a full disk or a closed pipe fails in here
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        Path(args.out).write_text(text)
     except OSError as exc:
-        if not args.out and sys.stdout is sys.__stdout__:
-            # the bytes left in the buffer must not fail again at exit
-            with open(os.devnull, "wb") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-        raise CliError(f"cannot write {args.out or 'stdout'}: "
-                       f"{exc.strerror or exc}", EXIT_USAGE)
+        raise CliError(f"cannot write {args.out}: {exc.strerror or exc}",
+                       EXIT_USAGE)
 
 
 def _load_table(args):
@@ -195,7 +189,7 @@ def cmd_word(args) -> int:
             minimal = gf2.is_minimal_word(word, pm)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_NOT_PROOF)
-        n, k = len(gens), gf2.nullspace_of_profiles(pm).k
+        n, k = len(gens), gf2.gf2_nullspace(gf2.profile_matrix_mod2(pm)).k
         doc.update(minimal=minimal, bound=gf2.minimality_bound(n, k))
         text_lines = [f"word {doc['word']}: "
                       f"{'minimal' if minimal else 'not minimal'} "
@@ -369,9 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)  # --help exits here
+            return args.func(args)
+        finally:  # a closed pipe or a full disk fails here, not at exit
+            sys.stdout.flush()
+    except OSError as exc:  # stdout's: --out and --data report their own
+        if sys.stdout is sys.__stdout__:
+            # the bytes left in the buffer must not fail again at exit
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"kspoly: cannot write stdout: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except CliError as exc:
         print(f"kspoly: {exc}", file=sys.stderr)
         return exc.code

@@ -124,24 +124,13 @@ def gf2_nullspace(m: BitMatrix,
         basis.append(v)
     spec = CodeSpec(m.n_cols, len(basis), tuple(basis), labels)
     for v in spec.nullspace_basis:
-        assert _apply(m, v) == 0
+        assert in_nullspace(m, v)
     return spec
 
 
-def _apply(m: BitMatrix, v: int) -> int:
-    out = 0
-    for i, row in enumerate(m.rows):
-        if (row & v).bit_count() % 2:
-            out |= 1 << i
-    return out
-
-
 def in_nullspace(m: BitMatrix, v: int) -> bool:
-    return _apply(m, v) == 0
-
-
-def nullspace_of_profiles(pm: ProfileMatrix) -> CodeSpec:
-    return gf2_nullspace(profile_matrix_mod2(pm), pm.col_labels)
+    """Whether M v = 0: every row meets v in an even number of bits."""
+    return not any((row & v).bit_count() % 2 for row in m.rows)
 
 
 # --------------------------------------------------------------------------
@@ -289,10 +278,6 @@ def _support(v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def vector_to_word(v: int, labels: tuple[str, ...]) -> Word:
-    return Word(frozenset(labels[i] for i in _support(v)))
-
-
 def enumerate_words(spec: CodeSpec, max_weight: int,
                     parity: Parity = "odd") -> list[Word]:
     """Low-weight codewords rendered as generator words.
@@ -302,7 +287,7 @@ def enumerate_words(spec: CodeSpec, max_weight: int,
     """
     if spec.labels is None:
         raise ValueError("code spec carries no generator labels")
-    return [vector_to_word(v, spec.labels)
+    return [Word(frozenset(spec.labels[i] for i in _support(v)))
             for v in enumerate_low_weight(spec, max_weight, parity)]
 
 

@@ -185,38 +185,28 @@ def ray_index(bases: Iterable[Basis]
 
 def basis_profile(basis: Iterable[int], layout: PentadecagonLayout) -> str:
     """Pentadecagon label of each ray, concatenated in layout order."""
-    labels = sorted(((r - 1) // ORBIT, layout.pentadecagon_of(r).label)
-                    for r in basis)
-    return "".join(lab for _, lab in labels)
+    return "".join(layout.pentadecagon_of(r).label for r in sorted(basis))
 
 
-class ProfileMatrix(namedtuple("ProfileMatrix",
-                               "row_labels col_labels entries")):
+class ProfileMatrix(NamedTuple):
     """Pentadecagon-by-generator occurrence counts (the counting matrix):
     row and column labels, and the entries as a tuple of rows."""
 
-    __slots__ = ()
-
-    def __new__(cls, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
-                entries: tuple[tuple[int, ...], ...]) -> ProfileMatrix:
-        d = sum(row[0] for row in entries)
-        for j in range(len(col_labels)):
-            if sum(row[j] for row in entries) != d:
-                raise ValueError("profile-matrix columns do not all sum "
-                                 "to the basis size")
-        return super().__new__(cls, row_labels, col_labels, entries)
+    row_labels: tuple[str, ...]
+    col_labels: tuple[str, ...]
+    entries: tuple[tuple[int, ...], ...]
 
 
 def build_profile_matrix(layout: PentadecagonLayout,
                          generators: Sequence[Generator]) -> ProfileMatrix:
+    """Each generator's rays per ring, ray r in ring (r - 1) // 15."""
     check_generators(layout, generators)
-    rays = [g.rays for g in generators]
-    rows = []
-    for p in layout.pentadecagons:
-        lo, hi = p.lo, p.hi
-        rows.append(tuple(sum(1 for r in g if lo <= r <= hi) for g in rays))
-    return ProfileMatrix(layout.labels,
-                         tuple(g.label for g in generators), tuple(rows))
+    rows = [[0] * len(generators) for _ in layout.pentadecagons]
+    for j, g in enumerate(generators):
+        for r in g.rays:
+            rows[(r - 1) // ORBIT][j] += 1
+    return ProfileMatrix(layout.labels, tuple(g.label for g in generators),
+                         tuple(map(tuple, rows)))
 
 
 # --------------------------------------------------------------------------

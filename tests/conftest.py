@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kspoly.datasets import load_polytope
-from kspoly.gf2 import nullspace_of_profiles
+from kspoly.gf2 import gf2_nullspace, profile_matrix_mod2
 from kspoly.raysystem import (POLYTOPES, build_basis_table,
                               build_profile_matrix)
 
@@ -32,7 +32,7 @@ def polytopes():
         layout, gens = load_polytope(name)
         table = build_basis_table(layout, gens)
         pm = build_profile_matrix(layout, gens)
-        spec = nullspace_of_profiles(pm)
+        spec = gf2_nullspace(profile_matrix_mod2(pm), pm.col_labels)
         out[name] = (layout, gens, table, pm, spec)
     return out
 

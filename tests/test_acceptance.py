@@ -8,13 +8,15 @@ comparisons are exact except the stated float tolerances of criterion 11.
 
 import random
 from collections import Counter
+from functools import cache
 
 from conftest import NULLSPACE_WORDS_120, PROOFS_120, PROOFS_GOSSET
 from kspoly.contextuality import (classify_decomposition, find_ks_assignment,
                                   incidence_nullspace_proofs, local_indices,
                                   proof_from_word, verify_parity_proof)
-from kspoly.geometry import (coxeter_projection, e8_rays, enumerate_bases,
-                             icosian_600cell, orthogonality_graph,
+from kspoly.geometry import (build_120cell_rays, coxeter_projection, e8_rays,
+                             enumerate_bases, icosian_600cell,
+                             orthogonality_graph,
                              pentadecagon_classes, rigidity_demo,
                              rotates_by_one_step, saturated)
 from kspoly.gf2 import (BitMatrix, dual_weight_distribution,
@@ -23,7 +25,7 @@ from kspoly.gf2 import (BitMatrix, dual_weight_distribution,
                         odd_weight_total, profile_matrix_mod2, span)
 from kspoly import golden
 from kspoly.golden import phi_map
-from kspoly.raysystem import (Word, compose_words, parse_word,
+from kspoly.raysystem import (ORBIT, Word, compose_words, parse_word,
                               ray_basis_symbol, render_word, shift_position,
                               symbol_from_word, word_to_bases)
 
@@ -349,3 +351,67 @@ def test_criterion_12_property_suites(polytopes):
     ok(12, f"group laws on {pair_checks} random word pairs; MacWilliams "
            f"equals direct enumeration and round-trips exactly on "
            f"{mw_checks} random codes")
+
+
+@cache
+def geometric_census(polytope: str):
+    """(n, k) and the weight distribution of the counting matrix mod 2,
+    built from the polytope alone, with no table and no ring data.
+
+    The orthogonality graph's d-cliques fall into σ-orbits of fifteen.
+    There is one column per orbit and one row per block of fifteen ids;
+    each entry is the parity of the count of the orbit's first basis's
+    rays in that block.  σ keeps each block, so every basis of an orbit
+    gives the same column.
+    """
+    rs = {"600cell": icosian_600cell, "120cell": build_120cell_rays,
+          "gosset": e8_rays}[polytope]()
+    firsts, seen = [], set()
+    for b in enumerate_bases(orthogonality_graph(rs), rs.dimension):
+        if b not in seen:
+            firsts.append(b)
+            for _ in range(ORBIT):
+                seen.add(b)
+                b = tuple(sorted(shift_position(v, 1) for v in b))
+    m = BitMatrix.from_rows([[sum(v // ORBIT == i for v in b) for b in firsts]
+                             for i in range(len(rs) // ORBIT)])
+    return (m.n_cols, gf2_nullspace(m).k,
+            macwilliams_transform(dual_weight_distribution(m), m.n_cols))
+
+
+def census_mismatches(polytope: str, published: dict[int, int]) -> set[int]:
+    """The odd weights whose geometric proof count is not the published
+    one."""
+    odd = {w: c for w, c in geometric_census(polytope)[2].items() if w % 2}
+    return {w for w in odd.keys() | published.keys()
+            if odd.get(w) != published.get(w)}
+
+
+def test_criterion_13_census_from_geometry(polytopes, proof_counts_120cell,
+                                           proof_counts_gosset):
+    # the 600-cell's 8 odd words of criterion 2: two of one letter, six of
+    # three
+    published = {"600cell": {1: 2, 3: 6}, "120cell": proof_counts_120cell,
+                 "gosset": proof_counts_gosset}
+    for name, counts in published.items():
+        *_x, pm, spec = polytopes[name]
+        n, k, dist = geometric_census(name)
+        assert (n, k) == (spec.n, spec.k)
+        assert census_mismatches(name, counts) == set()
+        assert dist == macwilliams_transform(
+            dual_weight_distribution(profile_matrix_mod2(pm)), spec.n)
+    ok(13, "from the rays and bases alone, (n, k) = (5, 4), (45, 30) and "
+           "(135, 131), and every published proof count, match the tables")
+
+
+def test_census_from_geometry_refuses_a_changed_count(proof_counts_120cell,
+                                                      proof_counts_gosset):
+    """The check of criterion 13 fails, at that weight only, when one
+    published count is changed or dropped."""
+    for name, counts in (("120cell", proof_counts_120cell),
+                         ("gosset", proof_counts_gosset)):
+        for w in (1, max(counts)):
+            assert census_mismatches(name, {**counts, w: counts[w] + 1}) \
+                == {w}
+            assert census_mismatches(
+                name, {v: c for v, c in counts.items() if v != w}) == {w}

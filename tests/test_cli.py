@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import kspoly
 from kspoly import contextuality
-from kspoly.cli import main
+from kspoly.cli import build_parser, main
 from kspoly.datasets import data_text
+from kspoly.raysystem import POLYTOPES
 
 
 def schema(name: str) -> dict:
@@ -115,12 +116,14 @@ def test_out_unwritable_exit2(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
 @pytest.mark.parametrize("command", [
-    "weights --polytope 600cell", "gen-bases --polytope gosset --format json"])
+    "weights --polytope 600cell", "gen-bases --polytope gosset --format json",
+    "--help", "geometry match --help"])
 def test_stdout_unwritable_exit2(target, command):
     """A reader that closes the pipe at once, or a full device: one
     stderr line and exit 2, with no traceback and no second report when
     the interpreter flushes stdout at exit.  Run with stdout buffered, as
-    by default, so that a short output is still buffered when it fails."""
+    by default, so that a short output is still buffered when it fails.
+    argparse's help is covered too: it is written outside the report."""
     if target == "closed-pipe":
         read, out = os.pipe()
         os.close(read)
@@ -144,6 +147,13 @@ def test_stdout_unwritable_exit2(target, command):
 class _FullStdout(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_help_to_a_working_stdout_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 def test_stdout_unwritable_in_process_exit2(capsys, monkeypatch):
@@ -320,15 +330,18 @@ _FIELD_VALUES = st.one_of(
 @st.composite
 def _mutated_dataset(draw, polytope):
     """The embedded dataset with one field changed: a pentadecagon or
-    generator label, the dimension, a lo, hi, radius or angle_deg, one ray
-    id, or the generator list (dropped, repeated or reordered
-    generators)."""
+    generator label, the polytope, the dimension, a lo, hi, radius or
+    angle_deg, one ray id, the generator list (dropped, repeated or
+    reordered generators) or the pentadecagon list (truncated)."""
     doc = json.loads(data_text(f"{polytope}.json"))
-    field = draw(st.sampled_from(("label", "dimension", "lo", "hi", "radius",
-                                  "angle_deg", "ray", "generators")))
+    field = draw(st.sampled_from(("label", "polytope", "dimension", "lo",
+                                  "hi", "radius", "angle_deg", "ray",
+                                  "generators", "pentadecagons")))
     if field == "label":
         items = doc[draw(st.sampled_from(("pentadecagons", "generators")))]
         draw(st.sampled_from(items))["label"] = draw(_FIELD_VALUES)
+    elif field == "polytope":
+        doc["polytope"] = draw(st.sampled_from(POLYTOPES) | _FIELD_VALUES)
     elif field == "dimension":
         doc["dimension"] = draw(_FIELD_VALUES)
     elif field in ("lo", "hi", "radius", "angle_deg"):
@@ -337,9 +350,12 @@ def _mutated_dataset(draw, polytope):
     elif field == "ray":
         rays = draw(st.sampled_from(doc["generators"]))["rays"]
         rays[draw(st.integers(0, len(rays) - 1))] = draw(_FIELD_VALUES)
-    else:
+    elif field == "generators":
         doc["generators"] = draw(st.lists(
             st.sampled_from(doc["generators"]), max_size=7))
+    else:
+        rings = doc["pentadecagons"]
+        del rings[draw(st.integers(0, len(rings) - 1)):]
     return doc
 
 
@@ -400,6 +416,67 @@ def test_data_fuzz_larger_datasets(tmp_path_factory, polytope):
     def check(doc, argv):
         code = _exit_code(polytope, doc, argv, tmp_path_factory)
         assert code in (0, 2, 3, 4, 5, 6)
+    check()
+
+
+# letters of a dataset, plus tokens that are malformed or in no dataset
+_ODD_TOKENS = ("z", "a'", "e'2", "b_1", "'", "7", "A", "é", "a-b", "--x")
+
+
+@st.composite
+def _contract_argv(draw, polytope):
+    """One command line: gen-bases, weights, a word action (a word of the
+    dataset's letters and odd tokens) or geometry match, on the embedded
+    dataset or on a mutated copy (the doc to write, else None)."""
+    labels = [g["label"] for g in
+              json.loads(data_text(f"{polytope}.json"))["generators"]]
+    command = draw(st.sampled_from(("gen-bases", "weights", "word",
+                                    "geometry")))
+    if command == "word":
+        tokens = draw(st.lists(st.sampled_from(labels), max_size=4))
+        if draw(st.booleans()):
+            tokens.insert(draw(st.integers(0, len(tokens))),
+                          draw(st.sampled_from(_ODD_TOKENS)))
+        action = draw(st.sampled_from(("expand", "symbol", "verify",
+                                       "minimal", "decompose")))
+        argv = ["word", " ".join(tokens), action]
+        if action == "verify" and draw(st.booleans()):
+            argv.append("--check-assignment")
+    else:
+        argv = ["geometry", "match"] if command == "geometry" else [command]
+    doc = draw(st.none() | _mutated_dataset(polytope))
+    return argv + ["--polytope", polytope], doc
+
+
+@pytest.mark.parametrize("polytope", POLYTOPES)
+def test_error_contract(tmp_path_factory, monkeypatch, polytope):
+    """On mutated datasets and words, main returns a documented code
+    (0, 2-6) or argparse exits 2; a returned failure writes exactly one
+    stderr line, "kspoly: ...", and success writes none."""
+    monkeypatch.setenv("KSPOLY_NODE_BUDGET", "200")
+    path = tmp_path_factory.mktemp("contract") / "data.json"
+
+    @settings(max_examples=20, deadline=None)
+    @given(_contract_argv(polytope))
+    def check(case):
+        argv, doc = case
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--data", str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the command line
+                assert exc.code == 2
+                return
+        assert code in (0, 2, 3, 4, 5, 6)
+        if code:
+            assert err.getvalue().startswith("kspoly: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
     check()
 
 
@@ -776,10 +853,12 @@ def test_geometry_match_budget_exit6(capsys, monkeypatch):
 
 def test_cli_imports_neither_dataclasses_nor_inspect():
     """The records are named tuples, so starting the CLI loads neither
-    `dataclasses` nor the `inspect` it pulls in.  A fresh interpreter runs
-    with -S, so that no site .pth file can load them either."""
+    `dataclasses` nor the `inspect` it pulls in; the CLI joins its csv
+    rows itself, so it loads no `csv` either.  A fresh interpreter runs
+    with -S, so that no site .pth file can load them."""
     probe = ("import kspoly.cli, sys\n"
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'csv', '_csv'}"
+             " & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(kspoly.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)

@@ -17,7 +17,7 @@ from kspoly.gf2 import (BitMatrix, EnumerationLimitError, WeightDistribution,
                         is_minimal_word, macwilliams_transform,
                         minimality_bound, odd_weight_total,
                         profile_matrix_mod2, span)
-from kspoly.raysystem import parse_word, render_word
+from kspoly.raysystem import Word, parse_word, render_word
 
 
 def closure(rows):
@@ -304,7 +304,8 @@ def test_minimality_is_nullity_one(polytopes, name, picks):
         v ^= spec.nullspace_basis[i % spec.k]
     assume(v.bit_count() % 2 and v.bit_count() <= 13)
     m = profile_matrix_mod2(pm)
-    word = gf2.vector_to_word(v, spec.labels)
+    word = Word(frozenset(lab for i, lab in enumerate(spec.labels)
+                          if v >> i & 1))
     assert is_minimal_word(word, pm) == (
         odd_sub_words_in_nullspace(m, v) == [v])
 

@@ -29,7 +29,8 @@ def records() -> dict:
     h4 = geometry.icosian_600cell()
     out = [layout.pentadecagons[0], layout, gens[0], table, pm, word,
            raysystem.symbol_from_word(word, gens, layout), m2,
-           gf2.nullspace_of_profiles(pm), gf2.dual_weight_distribution(m2),
+           gf2.gf2_nullspace(m2, pm.col_labels),
+           gf2.dual_weight_distribution(m2),
            proof, contextuality.verify_parity_proof(proof),
            contextuality.incidence_nullspace_proofs(proof), h4,
            geometry.orthogonality_graph(h4), geometry.rigidity_demo()[0]]
