@@ -31,11 +31,11 @@ a = gens[0]
 print(f"  generator {a.label} = {a.rays}  (profile "
       f"{basis_profile(a.rays, layout)})")
 for shift in (1, 2, 11, 14):
-    print(f"  shift {shift:2d} -> {expand_orbit(a, layout, shift)}")
+    print(f"  shift {shift:2d} -> {expand_orbit(a, shift)}")
 
 print()
 print("an orbit is already a parity proof when its profile is even:")
-orbit = [expand_orbit(a, layout, s) for s in range(15)]
+orbit = [expand_orbit(a, s) for s in range(15)]
 print(f"  the fifteen bases of '{a.label}' have symbol "
       f"{ray_basis_symbol(orbit, layout)}: thirty rays, each twice, "
       "over an odd number of bases")

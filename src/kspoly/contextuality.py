@@ -11,7 +11,6 @@ of its GF(2) nullspace is an embedded sub-proof.
 from __future__ import annotations
 
 import os
-from collections import namedtuple
 from itertools import islice
 from typing import Mapping, NamedTuple, Sequence
 
@@ -47,19 +46,11 @@ def resolve_node_budget(node_budget: int | None = None) -> int:
     return node_budget
 
 
-class Proof(namedtuple("Proof", "table basis_indices")):
+class Proof(NamedTuple):
     """A selection of bases out of a basis table (0-based indices)."""
 
-    __slots__ = ()
-
-    def __new__(cls, table: BasisTable, basis_indices: frozenset[int]
-                ) -> Proof:
-        if not basis_indices:
-            raise ValueError("a proof needs at least one basis")
-        n = len(table.bases)
-        if any(not 0 <= i < n for i in basis_indices):
-            raise ValueError("basis index out of table range")
-        return super().__new__(cls, table, basis_indices)
+    table: BasisTable
+    basis_indices: frozenset[int]
 
     def bases(self) -> list[Basis]:
         bases = self.table.bases
@@ -67,7 +58,10 @@ class Proof(namedtuple("Proof", "table basis_indices")):
 
 
 def proof_from_word(w: Word, table: BasisTable) -> Proof:
-    return Proof(table, word_to_bases(w, table))
+    indices = word_to_bases(w, table)
+    if not indices:
+        raise ValueError("a proof needs at least one basis")
+    return Proof(table, indices)
 
 
 class ParityCertificate(NamedTuple):

@@ -206,19 +206,15 @@ def build_120cell_rays() -> RaySet:
 # orthogonality graphs and clique bases
 
 
-class OrthoGraph(namedtuple("OrthoGraph", "n adjacency")):
+class OrthoGraph(NamedTuple):
     """A graph on vertices 0..n-1, its adjacency a tuple of neighbour
     bitsets, that the block shift σ (`shift_position`) maps onto itself:
-    adj(σx) = σ(adj x).  Every graph built here is on a RaySet's ids,
-    where σ is w, so it is; clique enumeration relies on it.  ValueError
-    when n is not a multiple of fifteen."""
+    adj(σx) = σ(adj x).  Every graph built here is on a RaySet's ids, in
+    orbits of fifteen where σ is w, so it is; clique enumeration relies on
+    it."""
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, adjacency: tuple[int, ...]) -> OrthoGraph:
-        if n % ORBIT:
-            raise ValueError(f"{n} vertices do not fall in blocks of fifteen")
-        return super().__new__(cls, n, adjacency)
+    n: int
+    adjacency: tuple[int, ...]
 
     @property
     def n_edges(self) -> int:

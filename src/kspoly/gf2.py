@@ -7,11 +7,11 @@ the 135-column code), and no floating point appears anywhere in this module.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from itertools import accumulate, combinations
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .raysystem import ProfileMatrix, Word, parse_letter
 
@@ -36,13 +36,9 @@ class WeightTransformError(ArithmeticError):
 # bit matrices
 
 
-class BitMatrix(namedtuple("BitMatrix", "n_cols rows")):
-    __slots__ = ()
-
-    def __new__(cls, n_cols: int, rows: tuple[int, ...]) -> BitMatrix:
-        if any(r < 0 or r >> n_cols for r in rows):
-            raise ValueError("row has bits outside the column range")
-        return super().__new__(cls, n_cols, rows)
+class BitMatrix(NamedTuple):
+    n_cols: int
+    rows: tuple[int, ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
@@ -89,18 +85,13 @@ def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return [low.bit_length() - 1 for low in lows], reduced
 
 
-class CodeSpec(namedtuple("CodeSpec", "n k nullspace_basis labels")):
+class CodeSpec(NamedTuple):
     """A binary linear code given by a basis of the nullspace {X: MX=0}."""
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, k: int, nullspace_basis: tuple[int, ...],
-                labels: tuple[str, ...] | None = None) -> CodeSpec:
-        if k != len(nullspace_basis):
-            raise ValueError("k != number of basis vectors")
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length != n")
-        return super().__new__(cls, n, k, nullspace_basis, labels)
+    n: int
+    k: int
+    nullspace_basis: tuple[int, ...]
+    labels: tuple[str, ...] | None = None
 
 
 def gf2_nullspace(m: BitMatrix,
@@ -137,15 +128,10 @@ def in_nullspace(m: BitMatrix, v: int) -> bool:
 # weight distributions
 
 
-class WeightDistribution(namedtuple("WeightDistribution", "counts")):
+class WeightDistribution(NamedTuple):
     """Exact codeword counts per Hamming weight (zero weights omitted)."""
 
-    __slots__ = ()
-
-    def __new__(cls, counts: dict[int, int]) -> WeightDistribution:
-        if any(w < 0 or c < 0 for w, c in counts.items()):
-            raise ValueError("negative weight or count")
-        return super().__new__(cls, counts)
+    counts: dict[int, int]
 
     def total(self) -> int:
         return sum(self.counts.values())

@@ -69,11 +69,6 @@ class PentadecagonLayout(namedtuple("PentadecagonLayout",
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.pentadecagons)
 
-    def pentadecagon_of(self, ray: int) -> Pentadecagon:
-        if not 1 <= ray <= self.n_rays:
-            raise ValueError(f"ray {ray} out of range 1..{self.n_rays}")
-        return self.pentadecagons[(ray - 1) // ORBIT]
-
 
 # --------------------------------------------------------------------------
 # generators and basis tables
@@ -104,7 +99,8 @@ def check_generators(layout: PentadecagonLayout,
             raise ValueError(f"generator {g.label}: expected "
                              f"{layout.dimension} rays, got {len(g.rays)}")
         for r in g.rays:
-            layout.pentadecagon_of(r)
+            if not 1 <= r <= layout.n_rays:
+                raise ValueError(f"ray {r} out of range 1..{layout.n_rays}")
 
 
 def shift_position(p: int, k: int) -> int:
@@ -120,21 +116,15 @@ def shift_mask(n: int, k: int) -> Callable[[int], int]:
     return lambda m: (m & ~top) << k | (m & top) >> ORBIT - k
 
 
-def expand_orbit(gen: Generator, layout: PentadecagonLayout,
-                 shift: int) -> Basis:
-    """Shift every ray of the generator by `shift` with wraparound.
+def expand_orbit(gen: Generator, shift: int) -> Basis:
+    """Shift every ray of the generator by `shift` (0..14) with wraparound.
 
     A layout numbers its pentadecagons in blocks of fifteen ids from 1, so
-    ray r shifts inside the block starting at r - (r - 1) % 15.
+    ray r shifts inside the block starting at r - (r - 1) % 15.  The
+    generator is trusted to be one that `check_generators` has passed.
     """
-    if not 0 <= shift <= ORBIT - 1:
-        raise ValueError(f"shift {shift} outside 0..14")
-    rays = gen.rays
-    if rays and not 1 <= rays[0] <= rays[-1] <= layout.n_rays:
-        raise ValueError(f"generator {gen.label}: ray out of range "
-                         f"1..{layout.n_rays}")
     return tuple(sorted(r - (r - 1) % ORBIT + (r - 1 + shift) % ORBIT
-                        for r in rays))
+                        for r in gen.rays))
 
 
 class BasisTable(NamedTuple):
@@ -155,8 +145,7 @@ class BasisTable(NamedTuple):
 def build_basis_table(layout: PentadecagonLayout,
                       generators: Sequence[Generator]) -> BasisTable:
     """Expand every generator orbit and verify the global invariants."""
-    check_generators(layout, generators)
-    bases = [expand_orbit(g, layout, s)
+    bases = [expand_orbit(g, s)
              for g in generators for s in range(ORBIT)]
     if len(set(bases)) != len(bases):
         raise ValueError("duplicate basis across generator orbits")
@@ -185,7 +174,8 @@ def ray_index(bases: Iterable[Basis]
 
 def basis_profile(basis: Iterable[int], layout: PentadecagonLayout) -> str:
     """Pentadecagon label of each ray, concatenated in layout order."""
-    return "".join(layout.pentadecagon_of(r).label for r in sorted(basis))
+    return "".join(layout.pentadecagons[(r - 1) // ORBIT].label
+                   for r in sorted(basis))
 
 
 class ProfileMatrix(NamedTuple):
@@ -200,7 +190,6 @@ class ProfileMatrix(NamedTuple):
 def build_profile_matrix(layout: PentadecagonLayout,
                          generators: Sequence[Generator]) -> ProfileMatrix:
     """Each generator's rays per ring, ray r in ring (r - 1) // 15."""
-    check_generators(layout, generators)
     rows = [[0] * len(generators) for _ in layout.pentadecagons]
     for j, g in enumerate(generators):
         for r in g.rays:
@@ -295,29 +284,16 @@ def word_to_bases(w: Word, table: BasisTable) -> frozenset[int]:
 # ray-basis symbols
 
 
-class RayBasisSymbol(namedtuple("RayBasisSymbol",
-                                "ray_terms basis_count basis_size")):
+class RayBasisSymbol(NamedTuple):
     """Occurrence census of a basis set: e.g. 150_2 30_4-105_4.
 
     ray_terms lists (multiplicity, ray_count) sorted by multiplicity; the
     right-hand term is the basis count subscripted by the basis size.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, ray_terms: tuple[tuple[int, int], ...],
-                basis_count: int, basis_size: int) -> RayBasisSymbol:
-        if basis_count <= 0:
-            raise ValueError("symbol needs a positive basis count")
-        mass = sum(mult * rays for mult, rays in ray_terms)
-        if mass != basis_size * basis_count:
-            raise ValueError(f"symbol mass {mass} != "
-                             f"{basis_size}*{basis_count}")
-        if list(ray_terms) != sorted(ray_terms):
-            raise ValueError("ray terms must be sorted by multiplicity")
-        if any(rays <= 0 or mult <= 0 for mult, rays in ray_terms):
-            raise ValueError("ray terms must be positive")
-        return super().__new__(cls, ray_terms, basis_count, basis_size)
+    ray_terms: tuple[tuple[int, int], ...]
+    basis_count: int
+    basis_size: int
 
     def __str__(self) -> str:
         left = " ".join(f"{rays}_{mult}" for mult, rays in self.ray_terms)
@@ -347,14 +323,14 @@ def symbol_from_word(w: Word, generators: Sequence[Generator],
     if not w.letters:
         raise ValueError("symbol of the empty word is undefined")
     by_label = {g.label: g for g in generators}
-    totals = {p.label: 0 for p in layout.pentadecagons}
+    totals = [0] * len(layout.pentadecagons)
     for tok in sorted(w.letters, key=parse_letter):
         if tok not in by_label:
             raise KeyError(f"unknown generator letter {tok!r}")
         for r in by_label[tok].rays:
-            totals[layout.pentadecagon_of(r).label] += 1
+            totals[(r - 1) // ORBIT] += 1
     by_mult: dict[int, int] = {}
-    for t in totals.values():
+    for t in totals:
         if t:
             by_mult[t] = by_mult.get(t, 0) + ORBIT
     return RayBasisSymbol(tuple(sorted(by_mult.items())),

@@ -283,41 +283,60 @@ def test_criterion_10_geometry_counts(gosset):
            "pairs, all non-rigidity claims hold")
 
 
-def test_criterion_11_projection(cell600, gosset):
-    h4 = icosian_600cell()
-    proj = coxeter_projection(h4)
+def _arc(a: float, b: float) -> float:
+    """The gap between two angles mod 12 degrees, so 12 - eps reads as 0."""
+    d = (a - b) % 12.0
+    return min(d, 12.0 - d)
+
+
+def published_ring_gaps(rs, layout, flagged: float | None = None):
+    """Pair each orbit of w with a published ring, both sorted by radius,
+    and check the projected (radius, angle of the orbit's first ray mod 12
+    degrees) against the published (radius, angle_deg).  Twin rings share
+    a radius, so their angles are compared as a set.  Returns the largest
+    radius and angle gaps, and the computed radius of the flagged ring."""
+    proj = coxeter_projection(rs)
     classes = pentadecagon_classes(proj)
-    want600 = sorted((p.radius for p in cell600[0].pentadecagons),
-                     reverse=True)
-    assert len(classes) == 4
+    assert len(classes) == len(layout.pentadecagons)
     assert rotates_by_one_step(proj)
-    for (r, members), want in zip(classes, want600):
-        assert abs(r - want) < 5e-4
+    by_radius: dict[float, tuple[list, list]] = {}
+    rgap = agap = 0.0
+    flagged_at = None
+    rings = sorted(layout.pentadecagons, key=lambda p: p.radius)
+    for (r, members), ring in zip(reversed(classes), rings):
         assert len(members) == 15
         residues = [proj[i][1] % 12.0 for i in members]
-        spread = max(residues) - min(residues)
-        assert min(spread, 12.0 - spread) < 1e-6
-    e8 = e8_rays()
-    proj8 = coxeter_projection(e8)
-    classes8 = pentadecagon_classes(proj8)
-    assert len(classes8) == 8
-    wantg = sorted((p.radius for p in gosset[0].pentadecagons), reverse=True)
-    flagged = None
-    assert rotates_by_one_step(proj8)
-    for (r, members), want in zip(classes8, wantg):
-        assert len(members) == 15
-        residues = [proj8[i][1] % 12.0 for i in members]
-        spread = max(residues) - min(residues)
-        assert min(spread, 12.0 - spread) < 1e-6
-        if abs(want - 0.6723) < 1e-9:
-            flagged = r
-            continue
-        assert abs(r - want) < 5e-4
-    assert flagged is not None
-    ok(11, f"600-cell radii match to 5e-4, w turns each ring by one "
-           f"12-degree step; Gosset "
-           f"radii match except the flagged 0.6723 ring, computed as "
-           f"{flagged:.4f} (equal to the 600-cell's third ring)")
+        assert max(_arc(a, residues[0]) for a in residues) < 1e-6
+        if ring.radius == flagged:
+            flagged_at = r
+        else:
+            rgap = max(rgap, abs(r - ring.radius))
+        computed, published = by_radius.setdefault(ring.radius, ([], []))
+        computed.append(residues[0])
+        published.append(ring.angle_deg)
+    for computed, published in by_radius.values():
+        for a in published:
+            match = min(computed, key=lambda c: _arc(c, a))
+            agap = max(agap, _arc(match, a))
+            computed.remove(match)
+    assert rgap < 5e-4 and agap < 0.01
+    return rgap, agap, flagged_at
+
+
+def test_criterion_11_projection(cell600, cell120, gosset):
+    gaps = [published_ring_gaps(icosian_600cell(), cell600[0]),
+            published_ring_gaps(build_120cell_rays(), cell120[0]),
+            published_ring_gaps(e8_rays(), gosset[0], flagged=0.6723)]
+    flagged = gaps[2][2]
+    ring_c = sorted(r for r, _ in pentadecagon_classes(
+        coxeter_projection(icosian_600cell())))[1]
+    assert abs(flagged - 0.6723) < 6e-4 and abs(flagged - ring_c) < 1e-9
+    rgap = max(g[0] for g in gaps)
+    agap = max(g[1] for g in gaps)
+    ok(11, f"all 32 published rings match the projection: radii to "
+           f"{rgap:.1e}, angles mod 12 degrees to {agap:.4f}, w turns each "
+           f"ring by one 12-degree step; Gosset's flagged 0.6723 ring is "
+           f"computed as {flagged:.4f} (equal to the 600-cell's ring C)")
 
 
 def test_criterion_12_property_suites(polytopes):

@@ -204,11 +204,16 @@ def _empty_layout(doc):
     doc["pentadecagons"] = []
 
 
+def _ray_past_layout(doc):
+    doc["generators"][0]["rays"][-1] = 61
+
+
 @pytest.mark.parametrize("edit, message", [
     (_delete_dimension, "missing field dimension"),
     (_retype_lo, "field pentadecagons[2].lo: expected integer, got string"),
     (_retype_ray, "field generators[1].rays[0]: expected integer, got null"),
     (_empty_layout, "a layout needs at least one pentadecagon"),
+    (_ray_past_layout, "ray 61 out of range 1..60"),
 ])
 def test_data_malformed_exit2(tmp_path, capsys, edit, message):
     path = _bad_data(tmp_path, edit)

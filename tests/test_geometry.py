@@ -342,12 +342,10 @@ def test_cliques_edgeless_graph():
 
 
 def test_single_ray_graph(h4):
-    """One ray is no union of w's orbits, so it has no RaySet and no
-    graph: a one-vertex graph is no block of fifteen."""
+    """One ray is no union of w's orbits, so it has no RaySet and so no
+    orthogonality graph."""
     with pytest.raises(ValueError, match="orbits of fifteen"):
         RaySet(h4.vectors[:1])
-    with pytest.raises(ValueError, match="blocks of fifteen"):
-        OrthoGraph(1, (0,))
 
 
 def test_cliques_complete_graph():
@@ -550,13 +548,6 @@ def test_120cell_rays_dot_products(monkeypatch):
     monkeypatch.setattr(golden, "dot", counting)
     assert len(build_120cell_rays()) == 300
     assert calls == 2_486
-
-
-def test_orthograph_needs_blocks_of_fifteen():
-    for n in (1, 5, 16):
-        with pytest.raises(ValueError, match="blocks of fifteen"):
-            OrthoGraph(n, (0,) * n)
-    assert OrthoGraph(30, (0,) * 30).n_edges == 0
 
 
 @st.composite

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kspoly.raysystem import (Generator, Pentadecagon, PentadecagonLayout,
-                              RayBasisSymbol, Word, basis_profile,
-                              build_basis_table,
-                              expand_orbit, parse_word,
+                              Word, basis_profile, build_basis_table,
+                              check_generators, expand_orbit, parse_word,
                               ray_basis_symbol, shift_mask, shift_position,
                               symbol_from_word, word_to_bases)
 
@@ -67,50 +66,43 @@ def test_shift_mask_is_shift_position_on_bitsets(instance):
 
 
 def test_expand_orbit_shift_one(cell600):
-    layout, gens, *_ = cell600
+    _, gens, *_ = cell600
     a = gen_of(gens, "a")
-    assert expand_orbit(a, layout, 1) == (2, 6, 56, 57)
+    assert expand_orbit(a, 1) == (2, 6, 56, 57)
 
 
 def test_expand_orbit_wraps(cell600):
-    layout, gens, *_ = cell600
+    _, gens, *_ = cell600
     a = gen_of(gens, "a")
-    assert expand_orbit(a, layout, 11) == (1, 12, 51, 52)
+    assert expand_orbit(a, 11) == (1, 12, 51, 52)
 
 
 def test_expand_orbit_identity_shift(polytopes):
-    for layout, gens, *_ in polytopes.values():
+    for _, gens, *_ in polytopes.values():
         for g in gens[:3]:
-            assert expand_orbit(g, layout, 0) == g.rays
+            assert expand_orbit(g, 0) == g.rays
 
 
 def test_orbit_periodicity(cell120):
-    layout, gens, *_ = cell120
+    _, gens, *_ = cell120
     for g in gens[::7]:
         for s in range(15):
-            assert expand_orbit(g, layout, s) == expand_orbit(
-                g, layout, (s + 15) % 15)
+            assert expand_orbit(g, s) == expand_orbit(g, (s + 15) % 15)
 
 
 def test_expand_orbit_matches_shift_ray(polytopes):
-    for layout, gens, *_ in polytopes.values():
+    for _, gens, *_ in polytopes.values():
         for g in gens:
             for s in range(15):
-                assert expand_orbit(g, layout, s) == tuple(
+                assert expand_orbit(g, s) == tuple(
                     sorted(shift_position(r - 1, s) + 1 for r in g.rays))
 
 
-def test_expand_orbit_rejects_rays_out_of_range(cell600):
+def test_check_generators_rejects_rays_out_of_range(cell600):
     layout = cell600[0]
     for rays in ((0, 1, 2, 3), (1, 2, 3, 61)):
         with pytest.raises(ValueError, match="out of range"):
-            expand_orbit(Generator("z", rays), layout, 1)
-
-
-def test_expand_orbit_shift_range(cell600):
-    layout, gens, *_ = cell600
-    with pytest.raises(ValueError):
-        expand_orbit(gens[0], layout, 15)
+            check_generators(layout, [Generator("z", rays)])
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +133,7 @@ def test_single_generator_orbit(cell600):
 def test_duplicate_orbit_rejected(cell600):
     layout, gens, *_ = cell600
     a = gen_of(gens, "a")
-    shifted = Generator("z", expand_orbit(a, layout, 3))
+    shifted = Generator("z", expand_orbit(a, 3))
     with pytest.raises(ValueError, match="duplicate"):
         build_basis_table(layout, [a, shifted])
 
@@ -158,8 +150,8 @@ def test_golden_table4(cell600, table4_rows):
 def test_origin_annotations(polytopes):
     """Basis i is shift i % 15 of generator i // 15, the origin that
     `gen-bases` prints (its columns are pinned by the snapshots)."""
-    for layout, gens, table, *_ in polytopes.values():
-        assert table.bases == tuple(expand_orbit(gens[i // 15], layout, i % 15)
+    for _, gens, table, *_ in polytopes.values():
+        assert table.bases == tuple(expand_orbit(gens[i // 15], i % 15)
                                     for i in range(len(table.bases)))
     assert polytopes["600cell"][2].orbit_indices("c") == range(30, 45)
 
@@ -241,12 +233,6 @@ def test_word_to_bases_unknown_letter(cell600):
 # ray-basis symbols
 
 
-def test_symbol_mass_invariant_enforced():
-    RayBasisSymbol(((2, 30),), 15, 4)  # mass 60 == 15*4
-    with pytest.raises(ValueError):
-        RayBasisSymbol(((2, 31),), 15, 4)
-
-
 def test_symbol_single_basis(cell600):
     layout, _, table, *_ = cell600
     sym = ray_basis_symbol([table.bases[0]], layout)
@@ -288,7 +274,9 @@ def test_symbol_empty_rejected(cell600):
 
 
 def test_symbol_consistency_everywhere(polytopes, gosset_words):
-    """Profile arithmetic equals basis expansion for a spread of words."""
+    """Profile arithmetic equals basis expansion for a spread of words,
+    and every symbol has the mass of its bases: sum of mult * rays is
+    basis_size * basis_count."""
     import random
     rng = random.Random(7)
     for name, (layout, gens, table, *_rest) in polytopes.items():
@@ -301,7 +289,11 @@ def test_symbol_consistency_everywhere(polytopes, gosset_words):
             w = parse_word(" ".join(sorted(letters)))
             sym = symbol_from_word(w, gens, layout)
             bases = [table.bases[i] for i in word_to_bases(w, table)]
-            assert ray_basis_symbol(bases, layout) == sym
+            expanded = ray_basis_symbol(bases, layout)
+            assert expanded == sym
+            for s in (sym, expanded):
+                assert sum(m * r for m, r in s.ray_terms) == (
+                    s.basis_size * s.basis_count)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """The package's record types: named tuples that are immutable, compare
-and hash by value, and keep their checks."""
+and hash by value; the layout, generator, word and ray set keep their
+checks on outside input."""
 
 from __future__ import annotations
 
