@@ -84,9 +84,10 @@ def cmd_gen_bases(args) -> int:
     n_bases, d = len(table.bases), layout.dimension
     origin = [(g.label, s) for g in gens for s in range(raysystem.ORBIT)]
     doc = {"polytope": layout.polytope, "dimension": d, "count": n_bases,
-           "bases": table.bases,  # json writes tuples as arrays
-           "origin": [{"index": i, "generator": lab, "shift": shift}
-                      for i, (lab, shift) in enumerate(origin, 1)]}
+           "bases": table.bases}  # json writes tuples as arrays
+    if args.format == "json":  # the only form that reads the origin dicts
+        doc["origin"] = [{"index": i, "generator": lab, "shift": shift}
+                         for i, (lab, shift) in enumerate(origin, 1)]
     lines = chain([f"# {layout.polytope}: {n_bases} bases, "
                    f"{len(gens)} generators x 15 shifts"],
                   (f"{i}\t{lab}\t{shift}\t{' '.join(map(str, b))}"

@@ -59,13 +59,12 @@ def profile_matrix_mod2(pm: ProfileMatrix) -> BitMatrix:
 
 
 def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced echelon form; returns (pivot columns, reduced pivot rows),
-    pivots ascending.
+    """Echelon form; returns (pivot columns, pivot rows), pivots ascending.
 
     Each row is reduced by the pivot rows found so far, keyed by their
-    lowest set bit, until it is zero or brings a new lowest bit; one
-    back-substitution pass, highest pivot first, then clears each pivot
-    column from the rows above it.
+    lowest set bit, until it is zero or brings a new lowest bit.  A pivot
+    row's lowest bit is its pivot; its other bits may lie in any column
+    above, later pivot columns included (no back-substitution).
     """
     by_low: dict[int, int] = {}
     for r in rows:
@@ -76,13 +75,8 @@ def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
                 break
             r ^= by_low[low]
     lows = sorted(by_low)
-    reduced = [by_low[low] for low in lows]
-    for i in range(len(lows) - 1, 0, -1):
-        low, pivot = lows[i], reduced[i]
-        for j in range(i):
-            if reduced[j] & low:
-                reduced[j] ^= pivot
-    return [low.bit_length() - 1 for low in lows], reduced
+    return ([low.bit_length() - 1 for low in lows],
+            [by_low[low] for low in lows])
 
 
 class CodeSpec(NamedTuple):
@@ -96,21 +90,24 @@ class CodeSpec(NamedTuple):
 
 def gf2_nullspace(m: BitMatrix,
                   labels: tuple[str, ...] | None = None) -> CodeSpec:
-    """Nullspace basis via free columns of the reduced echelon form.
+    """Nullspace basis, one vector per free (non-pivot) column.
 
-    Each basis vector owns one free column where every other basis vector
-    is zero, so a sum of t basis vectors has weight >= t (used for pruning
-    in low-weight enumeration).
+    The vector of free column f is the one solution that meets the free
+    columns in f alone, solved against the echelon rows highest pivot
+    first: a row has no bit below its pivot, so its pivot bit is the
+    parity of the row against the bits already set.  A sum of t basis
+    vectors thus weighs >= t (used for pruning in low-weight enumeration).
     """
-    pivots, reduced = _eliminate(m.rows)
+    pivots, rows = _eliminate(m.rows)
     pivot_set = set(pivots)
+    descending = list(zip(pivots, rows))[::-1]
     basis = []
     for free in range(m.n_cols):
         if free in pivot_set:
             continue
         v = 1 << free
-        for col, row in zip(pivots, reduced):
-            if (row >> free) & 1:
+        for col, row in descending:
+            if (row & v).bit_count() & 1:
                 v |= 1 << col
         basis.append(v)
     spec = CodeSpec(m.n_cols, len(basis), tuple(basis), labels)
@@ -165,8 +162,8 @@ def span(basis: Sequence[int]) -> Iterator[int]:
 
 def dual_weight_distribution(m: BitMatrix) -> WeightDistribution:
     """Exact weights of the row-space code (dimension = rank of M mod 2)."""
-    _, reduced = _eliminate(m.rows)
-    return WeightDistribution(Counter(map(int.bit_count, span(reduced))))
+    _, rows = _eliminate(m.rows)
+    return WeightDistribution(Counter(map(int.bit_count, span(rows))))
 
 
 def _kernel_rows(n: int) -> Iterator[list[int]]:

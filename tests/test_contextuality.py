@@ -639,7 +639,14 @@ def test_decomposition_cap(cell120, monkeypatch):
     p = word_proof(cell120, "abkrf'")
     dec = incidence_nullspace_proofs(p)
     assert dec.truncated
-    assert len(dec.proofs) == 3
+    # the first three odd vectors of the Gray walk over the nullspace
+    # basis, of 15, 15 and 45 bases: another basis would walk to others
+    assert [local_indices(p, s) for s in dec.proofs] == [
+        (3, 8, 13, 18, 23, 28, 32, 37, 42, 49, 54, 59, 61, 66, 71),
+        (4, 9, 14, 19, 24, 29, 33, 38, 43, 50, 55, 60, 62, 67, 72),
+        (3, 4, 5, 8, 9, 10, 13, 14, 15, 18, 19, 20, 23, 24, 25, 28, 29, 30,
+         32, 33, 34, 37, 38, 39, 42, 43, 44, 46, 49, 50, 51, 54, 55, 56, 59,
+         60, 61, 62, 63, 66, 67, 68, 71, 72, 73)]
     # the boundary: cdy has nullity 3 and 2^(3-1) = 4 odd nullspace
     # vectors, so a cap of 4 keeps them all and a cap of 3 truncates
     cdy = word_proof(cell120, "cdy")

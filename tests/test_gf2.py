@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import PROOFS_120, PROOFS_GOSSET
 from kspoly import gf2
+from kspoly.contextuality import _incidence, proof_from_word
 from kspoly.gf2 import (BitMatrix, EnumerationLimitError, WeightDistribution,
                         WeightTransformError, _eliminate, _kernel_rows,
                         dual_weight_distribution, enumerate_low_weight,
@@ -35,6 +37,18 @@ def brute_rank(rows, n_cols):
     return size.bit_length() - 1
 
 
+def top_bit_rank(rows):
+    """Rank by elimination on highest set bits, the mirror image of
+    _eliminate's lowest-bit pivots."""
+    by_top: dict[int, int] = {}
+    for r in rows:
+        while r and (top := r.bit_length()) in by_top:
+            r ^= by_top[top]
+        if r:
+            by_top[top] = r
+    return len(by_top)
+
+
 def brute_nullspace_vectors(m: BitMatrix):
     return [v for v in range(1 << m.n_cols) if in_nullspace(m, v)]
 
@@ -55,29 +69,72 @@ def test_rank_against_closure_oracle():
     for _ in range(100):
         m = random_matrix(rng, max_rows=10, max_cols=14)
         assert m.n_cols - gf2_nullspace(m).k == brute_rank(m.rows, m.n_cols)
-        _, reduced = _eliminate(m.rows)
-        walk = list(span(reduced))
+        _, echelon = _eliminate(m.rows)
+        walk = list(span(echelon))
         assert len(walk) == len(set(walk))
         assert set(walk) == closure(m.rows)
 
 
 # tall and sparse, like the ray-by-basis incidence matrices: each row a
 # ray, each column a basis, a few ones per row
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 20).flatmap(lambda n_cols: st.tuples(
+TALL_SPARSE = st.integers(1, 20).flatmap(lambda n_cols: st.tuples(
     st.just(n_cols),
     st.lists(st.sets(st.integers(0, n_cols - 1), max_size=4),
-             min_size=1, max_size=40))))
-def test_eliminate_reduced_echelon(shape):
+             min_size=1, max_size=40)))
+# wide and dense, like the profile matrices: few rows, many columns
+WIDE = st.integers(1, 40).flatmap(lambda n_cols: st.tuples(
+    st.just(n_cols),
+    st.lists(st.sets(st.integers(0, n_cols - 1)), min_size=1, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(TALL_SPARSE)
+def test_eliminate_echelon(shape):
     n_cols, supports = shape
     rows = [sum(1 << j for j in s) for s in supports]
-    pivots, reduced = _eliminate(rows)
+    pivots, echelon = _eliminate(rows)
     assert pivots == sorted(set(pivots))
-    assert len(reduced) == len(pivots)
-    for col, row in zip(pivots, reduced):
+    assert len(echelon) == len(pivots)
+    for col, row in zip(pivots, echelon):
         assert row & -row == 1 << col  # each pivot is its row's lowest bit
-        assert sum(r >> col & 1 for r in reduced) == 1
-    assert set(span(reduced)) == closure(rows)
+    assert set(span(echelon)) == closure(rows)
+
+
+def assert_free_column_basis(m: BitMatrix, spec, rank: int):
+    """k = n - rank, every vector in the nullspace, and each meeting the
+    non-pivot columns in exactly one column, its highest set bit, those
+    columns increasing: together these fix the basis uniquely."""
+    assert spec.k == m.n_cols - rank
+    pivots, _ = _eliminate(m.rows)
+    free = [c for c in range(m.n_cols) if c not in pivots]
+    assert [v.bit_length() - 1 for v in spec.nullspace_basis] == free
+    free_mask = sum(1 << c for c in free)
+    for c, v in zip(free, spec.nullspace_basis):
+        assert in_nullspace(m, v)
+        assert v & free_mask == 1 << c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TALL_SPARSE, WIDE))
+def test_nullspace_is_the_free_column_basis(shape):
+    n_cols, supports = shape
+    m = BitMatrix(n_cols, tuple(sum(1 << j for j in s) for s in supports))
+    assert_free_column_basis(m, gf2_nullspace(m), brute_rank(m.rows, n_cols))
+
+
+def test_free_column_basis_on_the_paper_matrices(polytopes):
+    """The property on the three profile matrices and on the incidence
+    matrix of every published proof, whose ranks (up to 222) are too large
+    to close, so the mirror-image elimination gives the rank."""
+    matrices = [profile_matrix_mod2(pm)
+                for *_x, pm, _spec in polytopes.values()]
+    for name, words in (("120cell", [w for w, *_ in PROOFS_120]),
+                        ("gosset", [w for w, _ in PROOFS_GOSSET])):
+        table = polytopes[name][2]
+        matrices += [_incidence(proof_from_word(parse_word(w), table))
+                     for w in words]
+    for m in matrices:
+        assert_free_column_basis(m, gf2_nullspace(m), top_bit_rank(m.rows))
 
 
 def test_nullspace_dimensions(polytopes):
