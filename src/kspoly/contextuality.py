@@ -324,30 +324,30 @@ def incidence_nullspace_proofs(p: Proof) -> Decomposition:
 
 def classify_decomposition(p: Proof, subs: Sequence[Proof]) -> str:
     """"direct_sum" when some subset of subs partitions p's bases exactly,
-    "overlapping" otherwise."""
+    "overlapping" otherwise.  Each step branches on every piece holding
+    the least uncovered basis (Knuth's Algorithm X), which reaches each
+    exact cover once; the size sort only orders the tries."""
     target = frozenset(p.basis_indices)
     pieces = sorted({s.basis_indices for s in subs
                      if s.basis_indices <= target},
                     key=lambda s: (len(s), tuple(sorted(s))))
 
-    def branches(remaining: frozenset[int], start: int):
-        """Each later piece holding the least uncovered basis that fits,
-        with what it leaves uncovered."""
+    def branches(remaining: frozenset[int]):
+        """What each piece holding the least uncovered basis that fits
+        leaves uncovered."""
         anchor = min(remaining)
-        for i in range(start, len(pieces)):
-            s = pieces[i]
-            if anchor in s and s <= remaining:
-                yield remaining - s, i + 1
+        return (remaining - s for s in pieces
+                if anchor in s and s <= remaining)
 
     # depth-first over partial covers; an explicit stack of branch
     # iterators, so the number of pieces is not bounded by the recursion
     # limit
-    stack = [branches(target, 0)]
+    stack = [branches(target)]
     while stack:
-        for remaining, start in stack[-1]:
+        for remaining in stack[-1]:
             if not remaining:
                 return "direct_sum"
-            stack.append(branches(remaining, start))
+            stack.append(branches(remaining))
             break
         else:
             stack.pop()

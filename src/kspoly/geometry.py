@@ -443,37 +443,28 @@ def _equivariant_search(adj_a: Sequence[int], adj_b: Sequence[int]
 
     The vertices fall in blocks of fifteen, and σ (`shift_position`) turns
     each block by one.  Equivariance fixes phi on a block once its first
-    vertex is placed: a target block and an offset in it.  The first block
-    placed takes offset 0, since σ maps a table's graph onto itself; then
-    comes, each time, the block with the most edges to the blocks placed
-    (the first such).  A placement checks only its block's first vertex against the
-    vertices placed, its own block's included: σ carries that check round
-    the block.  The search is an explicit stack of placements, so its
-    depth is not bounded by the recursion limit; more than MATCH_BUDGET
-    placements raise EnumerationLimitError.
+    vertex is placed: a target block and an offset in it.  The blocks are
+    placed in id order, and the first takes offset 0, since σ maps a
+    table's graph onto itself.  A placement checks only its block's first
+    vertex against the vertices placed, its own block's included: σ
+    carries that check round the block.  The search is an explicit stack
+    of placements, so its depth is not bounded by the recursion limit;
+    more than MATCH_BUDGET placements raise EnumerationLimitError.
     """
     n = len(adj_a)
     if not n:
         return []
     full = (1 << ORBIT) - 1
-    order: list[int] = []  # block starts, in placement order
-    placed, left = 0, list(range(0, n, ORBIT))
-    while left:
-        a0 = max(left, key=lambda s: sum((adj_a[x] & placed).bit_count()
-                                         for x in range(s, s + ORBIT)))
-        left.remove(a0)
-        order.append(a0)
-        placed |= full << a0
     targets = [(b0, o) for b0 in range(0, n, ORBIT) for o in range(ORBIT)]
     nodes = 0
     for j in (k for k in range(1, ORBIT) if math.gcd(k, ORBIT) == 1):
         phi = [0] * n  # read only at placed vertices
-        # per level: its untried placements, and the vertices of a and of b
-        # placed above it
-        stack = [(iter(targets[::ORBIT]), 0, 0)]
+        # per level: its untried placements, and the vertices of b placed
+        # above it (those of a are the ids below its block)
+        stack = [(iter(targets[::ORBIT]), 0)]
         while stack:
-            tries, pa, pb = stack[-1]
-            a0 = order[len(stack) - 1]
+            tries, pb = stack[-1]
+            a0 = ORBIT * (len(stack) - 1)
             for b0, o in tries:
                 if pb >> b0 & 1:
                     continue
@@ -483,11 +474,12 @@ def _equivariant_search(adj_a: Sequence[int], adj_b: Sequence[int]
                         f"isomorphism search exceeded {MATCH_BUDGET} nodes")
                 for t in range(ORBIT):
                     phi[a0 + t] = shift_position(b0 + o, j * t)
-                pa2, pb2 = pa | full << a0, pb | full << b0
-                if _permute(adj_a[a0] & pa2, phi) == adj_b[b0 + o] & pb2:
-                    if len(stack) == len(order):
+                pb2 = pb | full << b0
+                if (_permute(adj_a[a0] & (1 << a0 + ORBIT) - 1, phi)
+                        == adj_b[b0 + o] & pb2):
+                    if a0 + ORBIT == n:
                         return phi
-                    stack.append((iter(targets), pa2, pb2))
+                    stack.append((iter(targets), pb2))
                     break
             else:
                 stack.pop()
@@ -505,7 +497,8 @@ def match_labeling(computed: Sequence[Basis],
     σ is w on its ids.  j = 1 is tried first and fits all three polytopes,
     but so does every unit j mod 15: which power of w the wraparound is
     stays open (ROADMAP item 1).  The search is `_equivariant_search` on
-    the two basis co-occurrence graphs; bases must then map to bases.
+    the two basis co-occurrence graphs, one block of fifteen computed ids
+    at a time in id order; bases must then map to bases.
 
     Returns {computed ray id -> reference ray id}; raises MatchError when
     counts differ or no such bijection exists, and EnumerationLimitError

@@ -208,12 +208,30 @@ def _ray_past_layout(doc):
     doc["generators"][0]["rays"][-1] = 61
 
 
+def _reverse_rays(doc):
+    doc["generators"][0]["rays"].reverse()
+
+
+def _repeat_ray(doc):
+    rays = doc["generators"][0]["rays"]
+    rays[1] = rays[0]
+
+
+def _three_rays(doc):
+    doc["generators"][0]["rays"].pop()
+
+
 @pytest.mark.parametrize("edit, message", [
     (_delete_dimension, "missing field dimension"),
     (_retype_lo, "field pentadecagons[2].lo: expected integer, got string"),
     (_retype_ray, "field generators[1].rays[0]: expected integer, got null"),
     (_empty_layout, "a layout needs at least one pentadecagon"),
     (_ray_past_layout, "ray 61 out of range 1..60"),
+    (_reverse_rays,
+     "generator a: rays must be strictly increasing and distinct"),
+    (_repeat_ray,
+     "generator a: rays must be strictly increasing and distinct"),
+    (_three_rays, "generator a: expected 4 rays, got 3"),
 ])
 def test_data_malformed_exit2(tmp_path, capsys, edit, message):
     path = _bad_data(tmp_path, edit)
@@ -712,6 +730,25 @@ def test_word_empty_exit4(capsys, action):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("polytope, word, sizes", [
+    ("120cell", "a b e g j k r i'", [15, 105]),
+    ("gosset", "a1 b1 c1 e'2", [15, 45]),
+])
+def test_word_decompose_unequal_direct_sum(capsys, polytope, word, sizes):
+    """Two disjoint sub-proofs of different sizes partition the word's
+    bases, the one holding the least basis being the larger."""
+    code, out = run(capsys, "word", "--polytope", polytope, word,
+                    "decompose")
+    assert code == 0
+    assert out.split("\n")[0] == f"word {word}: direct_sum"
+    code, out = run(capsys, "word", "--polytope", polytope, word,
+                    "decompose", "--format", "json")
+    doc = json.loads(out)
+    assert doc["classification"] == "direct_sum"
+    assert sorted(len(s["local_indices"]) for s in doc["sub_proofs"]
+                  if not s["is_whole_proof"]) == sizes
+
+
 def test_word_decompose_non_nullspace_exit4(capsys):
     code = main(["word", "--polytope", "120cell", "c", "decompose"])
     captured = capsys.readouterr()
@@ -786,6 +823,24 @@ def test_geometry_match(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and doc["mapped_rays"] == 60
+
+
+def test_geometry_match_not_isomorphic_exit5(tmp_path, capsys):
+    """A valid table that no equivariant ray bijection reaches: ray 1
+    swapped with ray 2 in every generator."""
+    def swap(doc):
+        for g in doc["generators"]:
+            g["rays"] = sorted({1: 2, 2: 1}.get(r, r) for r in g["rays"])
+    path = _bad_data(tmp_path, swap)
+    argv = ["--polytope", "600cell", "--data", str(path)]
+    assert main(["gen-bases", *argv]) == 0
+    capsys.readouterr()
+    code = main(["geometry", "match", *argv])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == ("kspoly: match failed: no ray bijection maps "
+                            "the computed bases onto the reference table\n")
 
 
 def test_geometry_rigidity(capsys):

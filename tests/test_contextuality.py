@@ -619,6 +619,38 @@ def test_classify_needs_no_recursion(gosset):
                                   singles) == "direct_sum"
 
 
+@st.composite
+def _cover_instances(draw):
+    """Up to 8 pieces of unequal sizes for a target of up to 12 indices:
+    some blocks of a random partition of the target, so that exact covers
+    occur, and some random sets, which may overlap it or stick out."""
+    n = draw(st.integers(1, 12))
+    block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    parts = sorted({frozenset(i for i in range(n) if block[i] == b)
+                    for b in block}, key=sorted)
+    kept = draw(st.lists(st.sampled_from(parts), unique=True))
+    extra = draw(st.lists(st.frozensets(st.integers(0, 11), min_size=1),
+                          max_size=8 - len(kept)))
+    return frozenset(range(n)), kept + extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cover_instances())
+def test_classify_agrees_with_brute_force(instance):
+    """direct_sum exactly when some subset of the pieces partitions the
+    target, checked over every subset; only the index sets are read, so
+    the proofs carry no table."""
+    target, pieces = instance
+    exact = any(
+        sum(len(s) for s in chosen) == len(target)
+        and frozenset().union(*chosen) == target
+        for mask in range(1 << len(pieces))
+        for chosen in [[s for j, s in enumerate(pieces) if mask >> j & 1]])
+    got = classify_decomposition(Proof(None, target),
+                                 [Proof(None, s) for s in pieces])
+    assert got == ("direct_sum" if exact else "overlapping")
+
+
 def test_subproofs_against_brute_force(cell600):
     """The nullspace walk finds exactly the subsets of word a's 15 bases
     that are parity proofs, each once."""
