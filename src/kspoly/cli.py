@@ -143,8 +143,7 @@ def cmd_word(args) -> int:
                  "action": args.action}
 
     if args.action == "verify":
-        proof = contextuality.Proof(table,
-                                    raysystem.word_to_bases(word, table))
+        proof = contextuality.proof_from_word(word, table)
         cert = contextuality.verify_parity_proof(proof)
         doc["certificate"] = {
             "valid": cert.valid, "basis_count": cert.basis_count,
@@ -379,8 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except DatasetError as exc:
         print(f"kspoly: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (contextuality.SearchBudgetExceeded,
-            gf2.EnumerationLimitError) as exc:
+    except gf2.EnumerationLimitError as exc:  # SearchBudgetExceeded too
         print(f"kspoly: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

@@ -14,7 +14,8 @@ import os
 from itertools import islice
 from typing import Mapping, NamedTuple, Sequence
 
-from .gf2 import BitMatrix, _support, gf2_nullspace, span
+from .gf2 import (BitMatrix, EnumerationLimitError, _support, gf2_nullspace,
+                  span)
 from .raysystem import (ORBIT, Basis, BasisTable, Word, ray_index,
                         ray_occurrences, shift_mask, shift_position,
                         word_to_bases)
@@ -24,7 +25,7 @@ DEFAULT_NODE_BUDGET = 5_000_000
 SUBPROOF_CAP = 10_000  # the most sub-proofs a decomposition returns
 
 
-class SearchBudgetExceeded(RuntimeError):
+class SearchBudgetExceeded(EnumerationLimitError):
     """The backtracking search ran out of its node budget; .stats holds
     the work it did, as find_ks_assignment's stats dict would."""
 
@@ -58,10 +59,8 @@ class Proof(NamedTuple):
 
 
 def proof_from_word(w: Word, table: BasisTable) -> Proof:
-    indices = word_to_bases(w, table)
-    if not indices:
-        raise ValueError("a proof needs at least one basis")
-    return Proof(table, indices)
+    """w's bases as a Proof; the empty word gives the empty selection."""
+    return Proof(table, word_to_bases(w, table))
 
 
 class ParityCertificate(NamedTuple):

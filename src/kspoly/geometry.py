@@ -435,25 +435,27 @@ class MatchError(RuntimeError):
 MATCH_BUDGET = 200_000  # the most nodes of one match's search
 
 
-def _equivariant_search(adj_a: Sequence[int], adj_b: Sequence[int]
-                        ) -> list[int] | None:
-    """A vertex bijection phi carrying graph a onto graph b, as far as one
-    vertex per block checks it, with phi(σx) = σ^j phi(x) for the first
-    unit j mod 15 that admits one; None when no j does.
+def _equivariant_search(n: int, cols_a: Sequence[Sequence[int]],
+                        cols_b: Sequence[Sequence[int]]) -> list[int] | None:
+    """A bijection phi of range(n) carrying the bases cols_a onto the bases
+    cols_b, with phi(σx) = σ^j phi(x) for the first unit j mod 15 that
+    admits one; None when no j does.
 
     The vertices fall in blocks of fifteen, and σ (`shift_position`) turns
     each block by one.  Equivariance fixes phi on a block once its first
     vertex is placed: a target block and an offset in it.  The blocks are
-    placed in id order, and the first takes offset 0, since σ maps a
-    table's graph onto itself.  A placement checks only its block's first
-    vertex against the vertices placed, its own block's included: σ
-    carries that check round the block.  The search is an explicit stack
-    of placements, so its depth is not bounded by the recursion limit;
-    more than MATCH_BUDGET placements raise EnumerationLimitError.
+    placed in id order, the first at offset 0, since σ maps a table's
+    bases onto themselves.  A placement checks its block's first vertex
+    against the vertices placed, in the two co-occurrence graphs: σ
+    carries that check round the block.  A full placement is kept only if
+    phi carries the bases onto the bases; else the next is tried.  The
+    search is an explicit stack, so the recursion limit does not bound its
+    depth; more than MATCH_BUDGET placements raise EnumerationLimitError.
     """
-    n = len(adj_a)
     if not n:
         return []
+    adj_a, adj_b = _basis_rows(n, cols_a), _basis_rows(n, cols_b)
+    bases_b = set(map(frozenset, cols_b))
     full = (1 << ORBIT) - 1
     targets = [(b0, o) for b0 in range(0, n, ORBIT) for o in range(ORBIT)]
     nodes = 0
@@ -477,10 +479,12 @@ def _equivariant_search(adj_a: Sequence[int], adj_b: Sequence[int]
                 pb2 = pb | full << b0
                 if (_permute(adj_a[a0] & (1 << a0 + ORBIT) - 1, phi)
                         == adj_b[b0 + o] & pb2):
-                    if a0 + ORBIT == n:
+                    if a0 + ORBIT < n:
+                        stack.append((iter(targets), pb2))
+                        break
+                    if bases_b == {frozenset(phi[p] for p in b)
+                                   for b in cols_a}:
                         return phi
-                    stack.append((iter(targets), pb2))
-                    break
             else:
                 stack.pop()
     return None
@@ -488,17 +492,17 @@ def _equivariant_search(adj_a: Sequence[int], adj_b: Sequence[int]
 
 def match_labeling(computed: Sequence[Basis],
                    reference: BasisTable) -> dict[int, int]:
-    """A ray bijection phi carrying the computed basis hypergraph onto the
-    reference table and the block shift σ of the computed rays onto a
-    power of the table's wraparound: phi(σx) = σ^j phi(x).
+    """A ray bijection phi carrying the computed bases onto the reference
+    table's bases and the block shift σ of the computed rays onto a power
+    of the table's wraparound: phi(σx) = σ^j phi(x).
 
     Each side's rays (the ones that occur, sorted) are numbered in blocks
     of fifteen.  Every RaySet is numbered round the Coxeter element w, so
     σ is w on its ids.  j = 1 is tried first and fits all three polytopes,
     but so does every unit j mod 15: which power of w the wraparound is
     stays open (ROADMAP item 1).  The search is `_equivariant_search` on
-    the two basis co-occurrence graphs, one block of fifteen computed ids
-    at a time in id order; bases must then map to bases.
+    the two sides' bases, one block of fifteen computed ids at a time in
+    id order.
 
     Returns {computed ray id -> reference ray id}; raises MatchError when
     counts differ or no such bijection exists, and EnumerationLimitError
@@ -515,16 +519,11 @@ def match_labeling(computed: Sequence[Basis],
         raise MatchError(f"ray counts differ: {n} vs {len(ids_b)}")
     mapping = None
     if n % ORBIT == 0:
-        mapping = _equivariant_search(_basis_rows(n, cols_a),
-                                      _basis_rows(n, cols_b))
+        mapping = _equivariant_search(n, cols_a, cols_b)
     if mapping is None:
         raise MatchError("no ray bijection maps the computed bases onto "
                          "the reference table")
-    result = {ids_a[i]: ids_b[mapping[i]] for i in range(n)}
-    image = {frozenset(result[r] for r in b) for b in computed}
-    if image != {frozenset(b) for b in ref_bases}:
-        raise MatchError("graph bijection does not carry bases to bases")
-    return result
+    return {ids_a[i]: ids_b[mapping[i]] for i in range(n)}
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ Parity = Literal["odd", "even", "any"]
 
 
 class EnumerationLimitError(RuntimeError):
-    """An exact enumeration would exceed its work limit."""
+    """A search or an exact enumeration would exceed its work limit."""
 
 
 # the most basis vectors span() walks, so at most 2^25 vectors
@@ -231,8 +231,6 @@ def enumerate_low_weight(spec: CodeSpec, max_weight: int,
     bit: a combination of t basis vectors weighs at least t, so only
     subsets of size <= max_weight need inspection.
     """
-    if max_weight > spec.n:
-        raise ValueError("max_weight exceeds the code length")
     work = sum(comb(spec.k, t) for t in range(0, max_weight + 1))
     if work > ENUMERATION_BUDGET:
         raise EnumerationLimitError(

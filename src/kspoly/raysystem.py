@@ -325,8 +325,6 @@ def symbol_from_word(w: Word, generators: Sequence[Generator],
     by_label = {g.label: g for g in generators}
     totals = [0] * len(layout.pentadecagons)
     for tok in sorted(w.letters, key=parse_letter):
-        if tok not in by_label:
-            raise KeyError(f"unknown generator letter {tok!r}")
         for r in by_label[tok].rays:
             totals[(r - 1) // ORBIT] += 1
     by_mult: dict[int, int] = {}

@@ -201,9 +201,9 @@ def test_criterion_08_decomposition_fixtures(cell120, gosset):
 
 
 # the published 120-cell proofs left out of the search: bdklsxy exceeds the
-# default node budget; abegkri', abfghikmnsj' and fghilmsup' fit it (about
-# 0.4M-1.3M nodes) but take 10-30 s each.  Every other published proof is
-# searched
+# default node budget; abegkri', abfghikmnsj' and fghilmsup' fit it, refuted
+# in 363,754, 257,862 and 964,025 nodes (find_ks_assignment's stats dict),
+# but take 3-20 s each.  Every other published proof is searched
 BUDGET_FAILURES = {"abegkri'", "bdklsxy", "fghilmsup'", "abfghikmnsj'"}
 
 

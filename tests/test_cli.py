@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kspoly
-from kspoly import contextuality
+from kspoly import cli, contextuality, geometry, gf2
 from kspoly.cli import build_parser, main
 from kspoly.datasets import data_text
 from kspoly.raysystem import POLYTOPES
@@ -534,6 +534,21 @@ def test_weights_gosset_head(capsys):
     assert out.strip().split("\n") == ["weight,count", "1,16", "3,25812"]
 
 
+def test_weights_inconsistent_transform_exit3(capsys, monkeypatch):
+    """MacWilliams on a true span passes its own checks, so only a broken
+    transform reaches exit 3."""
+    def broken(dual, n):
+        raise gf2.WeightTransformError("count -1/16 at weight 3")
+
+    monkeypatch.setattr(gf2, "macwilliams_transform", broken)
+    code = main(["weights", "--polytope", "600cell"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("kspoly: inconsistent weight transform: "
+                            "count -1/16 at weight 3\n")
+
+
 # --------------------------------------------------------------------------
 # word
 
@@ -792,7 +807,6 @@ def test_geometry_project_csv(capsys):
 
 
 def test_projection_csv(capsys, monkeypatch):
-    from kspoly import geometry
 
     code, text = run(capsys, "geometry", "project", "--polytope", "600cell",
                      "--format", "csv")
@@ -898,13 +912,37 @@ def test_geometry_csv_only_for_project(capsys, argv):
 
 
 def test_geometry_match_budget_exit6(capsys, monkeypatch):
-    from kspoly import geometry
     monkeypatch.setattr(geometry, "MATCH_BUDGET", 1)
     code = main(["geometry", "match", "--polytope", "600cell"])
     captured = capsys.readouterr()
     assert code == 6
     assert captured.out == ""
     assert captured.err == "kspoly: isomorphism search exceeded 1 nodes\n"
+
+
+@pytest.mark.parametrize("argv, message, key", [
+    (["construct", "--polytope", "600cell"],
+     "construction counts do not match", "ok"),
+    (["project", "--polytope", "600cell"],
+     "projection classes malformed", "ok"),
+    (["rigidity"], "rigidity demonstration claims failed", "all_passed"),
+], ids=["construct", "project", "rigidity"])
+def test_geometry_failed_claim_exit5(capsys, monkeypatch, argv, message,
+                                     key):
+    """A geometric claim that fails still writes its report, then exits 5
+    with one line.  Each check is made false where the command reads it:
+    one ray too many expected, no one-step rotation, one failed claim."""
+    real_counts, real_demo = cli.expected_counts, geometry.rigidity_demo
+    monkeypatch.setattr(cli, "expected_counts",
+                        lambda p: (real_counts(p)[0] + 1, *real_counts(p)[1:]))
+    monkeypatch.setattr(geometry, "rotates_by_one_step", lambda proj: False)
+    monkeypatch.setattr(geometry, "rigidity_demo", lambda: (
+        *real_demo()[:-1], real_demo()[-1]._replace(passed=False)))
+    code = main(["geometry", *argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert json.loads(captured.out)[key] is False
+    assert captured.err == f"kspoly: {message}\n"
 
 
 # --------------------------------------------------------------------------

@@ -88,6 +88,18 @@ def test_canonical_sign():
     v = gvec(0, ALPHA, 1, BETA)
     assert canonical_sign(v)[1] == (0, -1)  # first nonzero made positive
     assert canonical_sign(canonical_sign(v)) == canonical_sign(v)
+    assert canonical_sign(gvec(0, 0)) == gvec(0, 0)  # no sign to choose
+
+
+def test_to_text_examples():
+    assert [golden.to_text(x) for x in ((3, 0), (0, 1), (0, -1), (2, -3),
+                                        (2, 3))] == ["3", "a", "-a", "2-3a",
+                                                     "2+3a"]
+
+
+def test_dot_refuses_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        golden.dot(gvec(1, 0), gvec(1, 0, 0))
 
 
 def _near_zero(n: int) -> st.SearchStrategy:
@@ -339,6 +351,12 @@ def test_120cell_structure(cell120_rays):
 def test_cliques_edgeless_graph():
     g = OrthoGraph(15, (0,) * 15)
     assert enumerate_bases(g, 4) == []
+
+
+def test_cliques_of_size_zero_are_refused():
+    """With d = 0 the walk would visit every clique and emit none."""
+    with pytest.raises(ValueError, match="clique size"):
+        enumerate_bases(OrthoGraph(15, (0,) * 15), 0)
 
 
 def test_single_ray_graph(h4):
@@ -727,6 +745,56 @@ def test_match_finds_a_power_of_the_wraparound():
     mapping = match_labeling(computed, SimpleNamespace(bases=reference))
     assert all(mapping[shift_position(x, 1)] - 1
                == shift_position(mapping[x] - 1, 2) for x in mapping)
+
+
+def test_match_finds_the_mirror():
+    """The translates of {0, 1, 3} and of its mirror {0, 2, 3} have the same
+    co-occurrence graph, so every translation passes the graph checks, but
+    none carries bases to bases; x -> -x does, and it turns σ into σ^14."""
+    computed = [tuple(sorted((s + r) % 15 for r in (0, 1, 3)))
+                for s in range(15)]
+    reference = [tuple(sorted(1 + (s + r) % 15 for r in (0, 2, 3)))
+                 for s in range(15)]
+    mapping = match_labeling(computed, SimpleNamespace(bases=reference))
+    assert all(mapping[shift_position(x, 1)] - 1
+               == shift_position(mapping[x] - 1, 14) for x in mapping)
+    assert ({tuple(sorted(mapping[r] for r in b)) for b in computed}
+            == set(reference))
+
+
+UNITS = [k for k in range(1, 15) if math.gcd(k, 15) == 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_match_finds_an_equivariant_relabelling(data):
+    """σ-orbit bases on one or two blocks, relabelled by an equivariant
+    bijection (a block permutation, an offset per block and a unit j),
+    match the relabelled table, each basis onto a table basis."""
+    blocks = data.draw(st.integers(1, 2))
+    seeds = data.draw(st.lists(st.sets(st.integers(0, 15 * blocks - 1),
+                                       min_size=2, max_size=4),
+                               min_size=1, max_size=3))
+    perm = data.draw(st.permutations(range(blocks)))
+    offsets = data.draw(st.lists(st.integers(0, 14), min_size=blocks,
+                                 max_size=blocks))
+    j = data.draw(st.sampled_from(UNITS))
+
+    def relabel(x):
+        b, t = divmod(x, 15)
+        return 1 + 15 * perm[b] + (offsets[b] + j * t) % 15
+
+    computed = sorted({tuple(sorted(shift_position(x, s) for x in seed))
+                       for seed in seeds for s in range(15)})
+    reference = [tuple(sorted(map(relabel, b))) for b in computed]
+    mapping = match_labeling(computed, SimpleNamespace(bases=reference))
+    assert ({tuple(sorted(mapping[r] for r in b)) for b in computed}
+            == set(reference))
+
+
+def test_match_of_nothing():
+    """No bases on either side: the empty map matches them."""
+    assert match_labeling([], SimpleNamespace(bases=[])) == {}
 
 
 def test_match_ray_count_not_a_multiple_of_15():

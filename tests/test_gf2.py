@@ -436,6 +436,13 @@ def test_enumeration_even_and_any(cell600):
     assert len(everything) == 16
 
 
+def test_enumerate_words_needs_labels(cell600):
+    *_x, pm, _spec = cell600
+    spec = gf2_nullspace(profile_matrix_mod2(pm))  # no column labels
+    with pytest.raises(ValueError, match="no generator labels"):
+        enumerate_words(spec, 1)
+
+
 def test_enumeration_work_budget(gosset, monkeypatch):
     *_x, spec = gosset
     monkeypatch.setattr(gf2, "ENUMERATION_BUDGET", 1000)
