@@ -10,8 +10,9 @@ valid dataset, or output that --out or stdout cannot take (a missing
 directory, a full disk, a closed pipe, for --help too: one line, no
 traceback); 3 internal counting inconsistency; 4 word is not an odd
 nullspace element where one is required; 5 failed geometric claim; 6 a
-search or enumeration ran past its limit (assignment node budget, match
-search budget, enumeration size).
+search or enumeration ran past its limit (assignment node budget, which
+`decompose`'s cover search shares, match search budget, enumeration
+size).
 """
 
 from __future__ import annotations
@@ -128,6 +129,16 @@ def cmd_weights(args) -> int:
 # word
 
 
+def _node_budget() -> int:
+    """KSPOLY_NODE_BUDGET, resolved; exit 2 unless it is a non-negative
+    integer."""
+    try:
+        return contextuality.resolve_node_budget()
+    except ValueError as exc:
+        raise CliError(f"bad {contextuality.NODE_BUDGET_ENV}: {exc}",
+                       EXIT_USAGE)
+
+
 def cmd_word(args) -> int:
     layout, gens, table = _load_table(args)
     try:
@@ -151,13 +162,8 @@ def cmd_word(args) -> int:
             "ray_occurrences": {str(r): c for r, c
                                 in sorted(cert.ray_occurrences.items())}}
         if args.check_assignment and word.letters:
-            try:
-                budget = contextuality.resolve_node_budget()
-            except ValueError as exc:
-                raise CliError(f"bad {contextuality.NODE_BUDGET_ENV}: {exc}",
-                               EXIT_USAGE)
             assignment = contextuality.find_ks_assignment(proof.bases(),
-                                                          budget)
+                                                          _node_budget())
             doc["assignment_exists"] = assignment is not None
         text_lines = [f"word {doc['word'] or '(empty)'}: "
                       f"{'valid' if cert.valid else 'invalid'} "
@@ -198,11 +204,14 @@ def cmd_word(args) -> int:
         if contextuality.verify_parity_proof(proof).offending_rays:
             raise CliError(f"word {doc['word']} is not a nullspace element",
                            EXIT_NOT_PROOF)
+        _node_budget()  # the cover search reads it
         dec = contextuality.incidence_nullspace_proofs(proof)
         proper = [s for s in dec.proofs
                   if s.basis_indices != proof.basis_indices]
         label = contextuality.classify_decomposition(
             proof, proper if proper else [proof])
+        if label == "overlapping" and dec.truncated:
+            label = "undecided"  # a partition may use a piece past the cap
         doc.update(irreducible=not proper, classification=label,
                    truncated=dec.truncated, sub_proofs=[])
         text_lines = [f"word {doc['word']}: "

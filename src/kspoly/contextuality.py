@@ -6,6 +6,10 @@ occurs an even number of times; such a set admits no {0,1} assignment
 giving each basis exactly one 1.  Decomposition works on the ray-by-basis
 incidence matrix restricted to the proof's bases: every odd-weight vector
 of its GF(2) nullspace is an embedded sub-proof.
+
+One backtracking search, find_ks_assignment, decides both exact covers of
+a proof's bases: by rays (a noncontextual assignment) and by sub-proofs
+(a direct sum).
 """
 
 from __future__ import annotations
@@ -323,34 +327,20 @@ def incidence_nullspace_proofs(p: Proof) -> Decomposition:
 
 def classify_decomposition(p: Proof, subs: Sequence[Proof]) -> str:
     """"direct_sum" when some subset of subs partitions p's bases exactly,
-    "overlapping" otherwise.  Each step branches on every piece holding
-    the least uncovered basis (Knuth's Algorithm X), which reaches each
-    exact cover once; the size sort only orders the tries."""
-    target = frozenset(p.basis_indices)
-    pieces = sorted({s.basis_indices for s in subs
-                     if s.basis_indices <= target},
-                    key=lambda s: (len(s), tuple(sorted(s))))
-
-    def branches(remaining: frozenset[int]):
-        """What each piece holding the least uncovered basis that fits
-        leaves uncovered."""
-        anchor = min(remaining)
-        return (remaining - s for s in pieces
-                if anchor in s and s <= remaining)
-
-    # depth-first over partial covers; an explicit stack of branch
-    # iterators, so the number of pieces is not bounded by the recursion
-    # limit
-    stack = [branches(target)]
-    while stack:
-        for remaining in stack[-1]:
-            if not remaining:
-                return "direct_sum"
-            stack.append(branches(remaining))
-            break
-        else:
-            stack.pop()
-    return "overlapping"
+    "overlapping" otherwise.  A partition is an assignment: number the
+    distinct pieces inside p from 0, and each basis of p asks for exactly
+    one chosen piece among those holding it (bases held by the same
+    pieces ask the same, so they are one constraint).  Only the index sets
+    are read; find_ks_assignment's node budget applies."""
+    pieces = dict.fromkeys(s.basis_indices for s in subs
+                           if s.basis_indices <= p.basis_indices)
+    holders: dict[int, list[int]] = {bi: [] for bi in p.basis_indices}
+    for j, s in enumerate(pieces):
+        for bi in s:
+            holders[bi].append(j)
+    covers = sorted(set(map(tuple, holders.values())))
+    return ("overlapping" if find_ks_assignment(covers) is None
+            else "direct_sum")
 
 
 def local_indices(p: Proof, sub: Proof) -> tuple[int, ...]:

@@ -444,13 +444,13 @@ def _equivariant_search(n: int, cols_a: Sequence[Sequence[int]],
     The vertices fall in blocks of fifteen, and σ (`shift_position`) turns
     each block by one.  Equivariance fixes phi on a block once its first
     vertex is placed: a target block and an offset in it.  The blocks are
-    placed in id order, the first at offset 0, since σ maps a table's
-    bases onto themselves.  A placement checks its block's first vertex
-    against the vertices placed, in the two co-occurrence graphs: σ
-    carries that check round the block.  A full placement is kept only if
-    phi carries the bases onto the bases; else the next is tried.  The
-    search is an explicit stack, so the recursion limit does not bound its
-    depth; more than MATCH_BUDGET placements raise EnumerationLimitError.
+    placed in id order, each tried at every free target block and offset.
+    A placement checks its block's first vertex against the vertices
+    placed, in the two co-occurrence graphs: σ carries that check round
+    the block.  A full placement is kept only if phi carries the bases
+    onto the bases; else the next is tried.  The search is an explicit
+    stack, so the recursion limit does not bound its depth; more than
+    MATCH_BUDGET placements raise EnumerationLimitError.
     """
     if not n:
         return []
@@ -463,7 +463,7 @@ def _equivariant_search(n: int, cols_a: Sequence[Sequence[int]],
         phi = [0] * n  # read only at placed vertices
         # per level: its untried placements, and the vertices of b placed
         # above it (those of a are the ids below its block)
-        stack = [(iter(targets[::ORBIT]), 0)]
+        stack = [(iter(targets), 0)]
         while stack:
             tries, pb = stack[-1]
             a0 = ORBIT * (len(stack) - 1)

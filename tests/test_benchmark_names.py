@@ -84,6 +84,7 @@ TRACED_RUNS = {
         "contextuality.verify_parity_proof",
         "contextuality.incidence_nullspace_proofs",
         "contextuality.classify_decomposition",
+        "contextuality.find_ks_assignment.assign",
         "raysystem.ray_basis_symbol", "gf2.gf2_nullspace"},
     "geometry construct --polytope 600cell": GRAPH | {"geometry.saturated"},
     "geometry project --polytope 600cell": RAYSET | {

@@ -772,6 +772,60 @@ def test_word_decompose_non_nullspace_exit4(capsys):
     assert captured.err == "kspoly: word c is not a nullspace element\n"
 
 
+def test_word_decompose_bad_node_budget_exit2(capsys, monkeypatch):
+    """decompose's cover search reads KSPOLY_NODE_BUDGET, checked as
+    verify's is."""
+    monkeypatch.setenv("KSPOLY_NODE_BUDGET", "abc")
+    code = main(["word", "--polytope", "120cell", "cdy", "decompose"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("kspoly: bad KSPOLY_NODE_BUDGET: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_word_decompose_node_budget_exit6(capsys, monkeypatch):
+    monkeypatch.setenv("KSPOLY_NODE_BUDGET", "0")
+    code = main(["word", "--polytope", "120cell", "cdy", "decompose"])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err == ("kspoly: assignment search exceeded 0 nodes (0 "
+                            "of 1 root branches refuted, 0 rays banned, "
+                            "depth 1)\n")
+
+
+@pytest.mark.parametrize("word, cap, label", [
+    ("c d y", 3, "undecided"),
+    ("a b k r f'", 9, "direct_sum"),
+])
+def test_word_decompose_truncated(capsys, monkeypatch, word, cap, label):
+    """With the sub-proof list cut at `cap`, cdy keeps two of its three
+    pieces, which partition nothing, so its label is undecided, not
+    overlapping; abkrf' keeps a partition, so its label stands."""
+    monkeypatch.setattr(contextuality, "SUBPROOF_CAP", cap)
+    code, out = run(capsys, "word", "--polytope", "120cell", word,
+                    "decompose")
+    assert code == 0
+    assert out.split("\n")[0] == f"word {word}: {label}"
+    code, out = run(capsys, "word", "--polytope", "120cell", word,
+                    "decompose", "--format", "json")
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("word_report.schema.json"))
+    assert doc["truncated"] is True
+    assert doc["classification"] == label
+    assert len(doc["sub_proofs"]) == cap
+
+
+def test_word_decompose_undecided_past_the_cap(capsys):
+    """g1 g2 g3 is the direct sum of g1, g2 and g3, but g3 is not among
+    the first SUBPROOF_CAP odd nullspace vectors (nullity 17)."""
+    code, out = run(capsys, "word", "--polytope", "gosset", "g1 g2 g3",
+                    "decompose")
+    assert code == 0
+    assert out.split("\n")[0] == "word g1 g2 g3: undecided"
+
+
 # --------------------------------------------------------------------------
 # geometry
 

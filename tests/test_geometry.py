@@ -762,6 +762,16 @@ def test_match_finds_the_mirror():
             == set(reference))
 
 
+def test_match_places_the_first_block_at_any_offset():
+    """σ maps neither side's bases onto bases, so the first block cannot go
+    at offset 0: position x of the computed rays goes to position x + 1
+    of the table's."""
+    computed = [tuple(range(0, 5)), tuple(range(5, 15))]
+    reference = [tuple(range(2, 7)), (1, *range(7, 16))]
+    mapping = match_labeling(computed, SimpleNamespace(bases=reference))
+    assert mapping == {x: 1 + (x + 1) % 15 for x in range(15)}
+
+
 UNITS = [k for k in range(1, 15) if math.gcd(k, 15) == 1]
 
 
