@@ -208,14 +208,13 @@ def cmd_word(args) -> int:
         dec = contextuality.incidence_nullspace_proofs(proof)
         proper = [s for s in dec.proofs
                   if s.basis_indices != proof.basis_indices]
-        label = contextuality.classify_decomposition(
-            proof, proper if proper else [proof])
-        if label == "overlapping" and dec.truncated:
+        label = (contextuality.classify_decomposition(proof, proper)
+                 if proper else "irreducible")
+        if label != "direct_sum" and dec.truncated:
             label = "undecided"  # a partition may use a piece past the cap
-        doc.update(irreducible=not proper, classification=label,
+        doc.update(irreducible=label == "irreducible", classification=label,
                    truncated=dec.truncated, sub_proofs=[])
-        text_lines = [f"word {doc['word']}: "
-                      f"{'irreducible' if not proper else label}"]
+        text_lines = [f"word {doc['word']}: {label}"]
         for s in dec.proofs:
             sym = raysystem.ray_basis_symbol(s.bases(), layout)
             local = contextuality.local_indices(proof, s)
@@ -226,6 +225,9 @@ def cmd_word(args) -> int:
                  "is_whole_proof": s.basis_indices == proof.basis_indices})
             text_lines.append(f"  {sym}  local " +
                               ",".join(map(str, local)))
+        if dec.truncated:  # then the odd vectors number 2^(nullity - 1)
+            text_lines.append(f"  ({len(dec.proofs)} of "
+                              f"{2 ** (dec.nullity - 1)} sub-proofs listed)")
     _report(args, doc, text_lines)
     return EXIT_OK
 

@@ -331,7 +331,8 @@ def classify_decomposition(p: Proof, subs: Sequence[Proof]) -> str:
     distinct pieces inside p from 0, and each basis of p asks for exactly
     one chosen piece among those holding it (bases held by the same
     pieces ask the same, so they are one constraint).  Only the index sets
-    are read; find_ks_assignment's node budget applies."""
+    are read; find_ks_assignment's node budget applies, and past it
+    SearchBudgetExceeded names this search, with the same .stats."""
     pieces = dict.fromkeys(s.basis_indices for s in subs
                            if s.basis_indices <= p.basis_indices)
     holders: dict[int, list[int]] = {bi: [] for bi in p.basis_indices}
@@ -339,12 +340,17 @@ def classify_decomposition(p: Proof, subs: Sequence[Proof]) -> str:
         for bi in s:
             holders[bi].append(j)
     covers = sorted(set(map(tuple, holders.values())))
-    return ("overlapping" if find_ks_assignment(covers) is None
-            else "direct_sum")
+    try:
+        cover = find_ks_assignment(covers)
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(
+            f"sub-proof cover search exceeded {exc.stats['nodes']} nodes "
+            f"({len(pieces)} sub-proofs over {len(p.basis_indices)} bases, "
+            f"depth {exc.stats['max_depth']})", exc.stats) from None
+    return "overlapping" if cover is None else "direct_sum"
 
 
 def local_indices(p: Proof, sub: Proof) -> tuple[int, ...]:
     """1-based positions of a sub-proof inside p's sorted basis list."""
-    order = sorted(p.basis_indices)
-    pos = {bi: i + 1 for i, bi in enumerate(order)}
+    pos = {bi: i for i, bi in enumerate(sorted(p.basis_indices), 1)}
     return tuple(sorted(pos[bi] for bi in sub.basis_indices))

@@ -13,17 +13,18 @@ The Coxeter element w, the product of the simple reflections, runs once,
 exactly, when a RaySet is built: its rays are numbered round w's orbits,
 fifteen ids per orbit, the way the tables number their pentadecagons.  So
 w is the tables' wraparound σ on every RaySet's ids, nothing downstream
-computes it, and σ is the one symmetry any graph here has: each graph is
-built from one ray per block of fifteen, each row carried round its block
-by σ, the clique walk starts only from one ray per block, and the
-pentadecagon classes are the blocks.  A table is then validated by an
-equivariant match: a bijection taking bases to bases and w to some σ^j.
-The triacontagonal (Coxeter-plane) projection applies w only through the
-same exact reflections: the plane is spanned by the cos/sin-weighted sums of
-w's 30 exact powers of 2e_0.  The only floating point left is those two
-sums and two dot products per ray, for the radii, the angles and the check
-that σ turns the plane by one step; every orthogonality and class decision
-is exact.
+computes it, and σ is the one symmetry any graph here has: the first ray
+of each block of fifteen takes exact products only with the rays after
+it, reads its earlier edges from the rows already built, and its row is
+carried round the block by σ; the clique walk starts only from one ray per
+block, and the pentadecagon classes are the blocks.  A table is then
+validated by an equivariant match: a bijection taking bases to bases and w
+to some σ^j.  The triacontagonal (Coxeter-plane) projection applies w only
+through the same exact reflections: the plane is spanned by the
+cos/sin-weighted sums of w's 30 exact powers of 2e_0.  The only floating
+point left is those two sums and two dot products per ray, for the radii,
+the angles and the check that σ turns the plane by one step; every
+orthogonality and class decision is exact.
 """
 
 from __future__ import annotations
@@ -231,35 +232,27 @@ def _graph(vectors: Sequence[GoldenVector], value: Golden) -> OrthoGraph:
     +-`value`.  σ, which is w on the ids, preserves that relation, since w
     is orthogonal and the rays are sign representatives.
 
-    Exact products are taken only from the first ray r of each block of
-    fifteen, against the rays whose rows are not yet known; the rows known
-    already supply the rest of r's row.  The row then travels round the
-    block: adj(σx) = σ(adj x).
+    Rows are built in id order.  The first ray r of each block of fifteen
+    takes exact products only with the rays after it; its edges to the rays
+    before it are read from their rows, already built.  The row then
+    travels round the block: adj(σx) = σ(adj x).
     """
     n = len(vectors)
     sigma = shift_mask(n, 1)
-    adj = [0] * n
-    unknown = (1 << n) - 1  # the vertices whose rows are not yet known
+    adj: list[int] = []
     dot, values = golden.dot, (value, (-value[0], -value[1]))
-    for r in range(0, n, ORBIT):
-        u, row, bit = vectors[r], adj[r], 1 << r
-        unknown ^= bit
-        for j in _support(unknown):
-            if dot(u, vectors[j]) in values:
-                row |= 1 << j
-                adj[j] |= bit
-        adj[r] = row
-        for x in range(r + 1, r + ORBIT):
-            unknown ^= 1 << x
-            adj[x] = row = sigma(row)
-            for y in _support(row & unknown):
-                adj[y] |= 1 << x
+    for r, u in zip(range(0, n, ORBIT), vectors[::ORBIT]):
+        row = sum(1 << j for j, a in enumerate(adj) if a >> r & 1)
+        row |= sum(1 << j for j in range(r + 1, n)
+                   if dot(u, vectors[j]) in values)
+        for _ in range(ORBIT):
+            adj.append(row)
+            row = sigma(row)
     return OrthoGraph(n, tuple(adj))
 
 
 def orthogonality_graph(rs: RaySet) -> OrthoGraph:
-    """The exact orthogonality graph, built by transport along σ's
-    blocks."""
+    """The exact orthogonality graph: `_graph` at inner product 0."""
     return _graph(rs.vectors, ZERO)
 
 
@@ -279,8 +272,8 @@ def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
     """All d-cliques of the graph, sorted, each exactly once.
 
     A clique whose first block of fifteen is B holds some vertex of B, so
-    a power of σ carries it onto a clique through B's first vertex r whose
-    other vertices lie in B or a later block.  Only those are walked, and
+    a power of σ carries it onto a clique whose least vertex is B's first
+    vertex r.  Only those are walked, from r's neighbours above r, and
     each is carried round r's block by σ.
     """
     if d < 1:
@@ -301,16 +294,14 @@ def enumerate_bases(g: OrthoGraph, d: int) -> list[tuple[int, ...]]:
             extend(clique, cand & adj[v])
             clique.pop()
 
-    rest = (1 << g.n) - 1  # the vertices of this block and the later ones
     for r in range(0, g.n, ORBIT):
-        # r is the least of rest, so every clique walked is sorted
+        # r is the least vertex of every clique walked, so each is sorted
         start = len(out)
-        extend([r], adj[r] & rest)
+        extend([r], adj[r] >> r << r)
         walked = out[start:]
         for _ in range(ORBIT - 1):
             walked = [tuple(sigma[v] for v in q) for q in walked]
             out.extend(tuple(sorted(q)) for q in walked)
-        rest ^= ((1 << ORBIT) - 1) << r
     # a clique is reached once per vertex it has in its first block
     out.sort()
     return [q for i, q in enumerate(out) if not i or q != out[i - 1]]

@@ -790,9 +790,24 @@ def test_word_decompose_node_budget_exit6(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 6
     assert captured.out == ""
-    assert captured.err == ("kspoly: assignment search exceeded 0 nodes (0 "
-                            "of 1 root branches refuted, 0 rays banned, "
-                            "depth 1)\n")
+    assert captured.err == ("kspoly: sub-proof cover search exceeded 0 "
+                            "nodes (3 sub-proofs over 45 bases, depth 1)\n")
+
+
+def test_word_decompose_irreducible(capsys):
+    """A word with no proper sub-proof is labelled irreducible in text and
+    json alike."""
+    code, out = run(capsys, "word", "--polytope", "600cell", "a",
+                    "decompose")
+    assert code == 0
+    assert out.split("\n")[0] == "word a: irreducible"
+    code, out = run(capsys, "word", "--polytope", "600cell", "a",
+                    "decompose", "--format", "json")
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("word_report.schema.json"))
+    assert doc["irreducible"] is True
+    assert doc["classification"] == "irreducible"
+    assert len(doc["sub_proofs"]) == 1
 
 
 @pytest.mark.parametrize("word, cap, label", [
@@ -802,12 +817,17 @@ def test_word_decompose_node_budget_exit6(capsys, monkeypatch):
 def test_word_decompose_truncated(capsys, monkeypatch, word, cap, label):
     """With the sub-proof list cut at `cap`, cdy keeps two of its three
     pieces, which partition nothing, so its label is undecided, not
-    overlapping; abkrf' keeps a partition, so its label stands."""
+    overlapping; abkrf' keeps a partition, so its label stands.  The text
+    ends by saying how many of the odd nullspace vectors it lists."""
     monkeypatch.setattr(contextuality, "SUBPROOF_CAP", cap)
     code, out = run(capsys, "word", "--polytope", "120cell", word,
                     "decompose")
     assert code == 0
-    assert out.split("\n")[0] == f"word {word}: {label}"
+    lines = out.split("\n")
+    assert lines[0] == f"word {word}: {label}"
+    total = {"c d y": 4, "a b k r f'": 16}[word]
+    assert lines[-2:] == [f"  ({cap} of {total} sub-proofs listed)", ""]
+    assert len(lines) == cap + 3
     code, out = run(capsys, "word", "--polytope", "120cell", word,
                     "decompose", "--format", "json")
     doc = json.loads(out)
@@ -823,7 +843,9 @@ def test_word_decompose_undecided_past_the_cap(capsys):
     code, out = run(capsys, "word", "--polytope", "gosset", "g1 g2 g3",
                     "decompose")
     assert code == 0
-    assert out.split("\n")[0] == "word g1 g2 g3: undecided"
+    lines = out.split("\n")
+    assert lines[0] == "word g1 g2 g3: undecided"
+    assert lines[-2:] == ["  (10000 of 65536 sub-proofs listed)", ""]
 
 
 # --------------------------------------------------------------------------
@@ -890,6 +912,7 @@ def test_geometry_match(capsys):
                     "--format", "json")
     assert code == 0
     doc = json.loads(out)
+    jsonschema.validate(doc, schema("geometry_report.schema.json"))
     assert doc["ok"] is True and doc["mapped_rays"] == 60
 
 

@@ -535,9 +535,26 @@ def test_transported_cliques_match_identity(three):
                 == _plain_cliques(g.adjacency, rs.dimension)), name
 
 
-def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
-    """Transport takes 3,130 of the 44,850 all-pairs products: w is σ on
-    the ids, so building the graph applies no reflection."""
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_graph_of_any_union_of_blocks_matches_all_pairs(three, data):
+    """Any union of blocks of fifteen, kept in id order, is numbered round
+    w as its ray set is, so σ is w on its positions; at any inner product
+    that occurs among its rays, the transported graph is the all-pairs
+    one."""
+    rs = data.draw(st.sampled_from(list(three.values())))
+    blocks = data.draw(st.sets(st.integers(0, len(rs) // 15 - 1),
+                               min_size=1))
+    vectors = tuple(v for b in sorted(blocks)
+                    for v in rs.vectors[15 * b:15 * b + 15])
+    i, j = (data.draw(st.integers(0, len(vectors) - 1)) for _ in range(2))
+    value = golden.dot(vectors[i], vectors[j])
+    assert (geometry._graph(vectors, value).adjacency
+            == _all_pairs_adjacency.__wrapped__(vectors, value))
+
+
+def _dot_products(monkeypatch, build):
+    """The result of build() and the exact products it took."""
     calls = 0
     dot = golden.dot
 
@@ -547,24 +564,31 @@ def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
         return dot(u, v)
 
     monkeypatch.setattr(golden, "dot", counting)
-    assert orthogonality_graph(cell120_rays).n_edges == 4050
+    return build(), calls
+
+
+def test_120cell_graph_dot_products(cell120_rays, monkeypatch):
+    """Transport takes 3,130 of the 44,850 all-pairs products: w is σ on
+    the ids, so building the graph applies no reflection."""
+    g, calls = _dot_products(monkeypatch,
+                             lambda: orthogonality_graph(cell120_rays))
+    assert g.n_edges == 4050
     assert calls == 3_130
+
+
+def test_e8_graph_dot_products(e8, monkeypatch):
+    """E8's graph takes 532 of the 7,140 all-pairs products."""
+    g, calls = _dot_products(monkeypatch, lambda: orthogonality_graph(e8))
+    assert g.n_edges == 3780
+    assert calls == 532
 
 
 def test_120cell_rays_dot_products(monkeypatch):
     """The 120-cell's rays take 2,486 exact products: 240 to number the
     600-cell round w, 146 for its +-(2 - 2a) graph, 900 to sign the 300
     cells, and 1,200 to number the 120-cell."""
-    calls = 0
-    dot = golden.dot
-
-    def counting(u, v):
-        nonlocal calls
-        calls += 1
-        return dot(u, v)
-
-    monkeypatch.setattr(golden, "dot", counting)
-    assert len(build_120cell_rays()) == 300
+    rs, calls = _dot_products(monkeypatch, build_120cell_rays)
+    assert len(rs) == 300
     assert calls == 2_486
 
 
