@@ -15,7 +15,7 @@ a proof's bases: by rays (a noncontextual assignment) and by sub-proofs
 from __future__ import annotations
 
 import os
-from itertools import islice
+from itertools import chain, islice
 from typing import Mapping, NamedTuple, Sequence
 
 from .gf2 import (BitMatrix, EnumerationLimitError, _support, gf2_nullspace,
@@ -122,6 +122,10 @@ def find_ks_assignment(bases: Sequence[Basis],
     Cuts only fail nodes and never touch the free counts, so the search
     walks the plain tree minus the cut subtrees and returns its answer.
 
+    Ray ids are non-negative ints, and each is its own bit position: ray r
+    is bit r of every bitset, so the bitsets and the per-ray tables are as
+    wide as the largest id.  A negative id raises ValueError.
+
     node_budget caps the nodes; default comes from KSPOLY_NODE_BUDGET, and
     a negative budget raises ValueError.  SearchBudgetExceeded is raised
     on the first node past the budget; its message says how far the search
@@ -145,61 +149,67 @@ def find_ks_assignment(bases: Sequence[Basis],
     if not bases:
         work()
         return {}
-    # rays are bit positions; a state is (one, zero, free): the rays set to
-    # 1, the rays set to 0, and per basis its free-ray count, or `done`
-    # once the basis holds its 1
-    rays, cols = ray_index(bases)
+    # ray r is bit r; a state is (one, zero, free): the rays set to 1, the
+    # rays set to 0, and per basis its free-ray count, or `done` once the
+    # basis holds its 1
+    rays = set(chain.from_iterable(bases))
+    if min(rays, default=0) < 0:
+        raise ValueError(f"ray ids must not be negative, got {min(rays)}")
+    width = max(rays, default=-1) + 1
+    bits = [0] * width  # per ray, 1 << ray
+    of_ray: list = [None] * width  # per ray, its bases (None if absent)
+    for r in rays:
+        bits[r] = 1 << r
+        of_ray[r] = []
     masks = []  # per basis, its rays as a bitset
-    of_ray: list[list[int]] = [[] for _ in rays]  # per ray, its bases
-    for bi, b in enumerate(cols):
+    for bi, b in enumerate(bases):
         m = 0
-        for p in b:
-            m |= 1 << p
-            of_ray[p].append(bi)
+        for r in b:
+            m |= bits[r]
+            of_ray[r].append(bi)
         masks.append(m)
-    nbr: list[int | None] = [None] * len(rays)  # built on first use
+    nbr: list[int | None] = [None] * width  # built on first use
     # per basis, its rays most-shared first (the sort is stable), built on
     # first use
-    order: list[list[int] | None] = [None] * len(cols)
-    shared = list(map(len, of_ray)).__getitem__
-    free = [len(b) for b in cols]
+    order: list[list[int] | None] = [None] * len(bases)
+    free = list(map(len, bases))
     done = max(free) + 1  # above every free count
-    step = _rotation_step(rays, masks)
-    pair = [0] * len(rays)  # per ray, the rays no assignment sets to 1 with it
+    step = _rotation_step(sum(bits), masks)
+    pair = [0] * width  # per ray, the rays no assignment sets to 1 with it
 
-    def orbit(p: int) -> list[int]:
-        """σ^j p for j = 0, step, 2 step, ... below ORBIT."""
-        return [shift_position(p, j) for j in range(0, ORBIT, step)]
+    def orbit(r: int) -> list[int]:
+        """σ^j r for j = 0, step, 2 step, ... below ORBIT."""
+        return [shift_position(r - 1, j) + 1 for j in range(0, ORBIT, step)]
 
-    def set_one(p: int, one: int, zero: int,
+    def set_one(r: int, one: int, zero: int,
                 free: list[int]) -> tuple[int, int] | None:
-        """Set ray p to 1 with unit propagation (free is updated in place);
+        """Set ray r to 1 with unit propagation (free is updated in place);
         the new (one, zero), or None on contradiction."""
-        todo = [p]
+        todo = [r]
         while todo:
-            p = todo.pop()
-            bit = 1 << p
+            r = todo.pop()
+            bit = bits[r]
             if one & bit:
                 continue
             if (zero | ban) & bit:
                 return None
-            m = nbr[p]
+            m = nbr[r]
             if m is None:
                 m = 0
-                for bi in of_ray[p]:
+                for bi in of_ray[r]:
                     m |= masks[bi]
-                m = nbr[p] = m & ~bit
-            if one & m or one & pair[p]:
+                m = nbr[r] = m & ~bit
+            if one & m or one & pair[r]:
                 return None
             one |= bit
-            for bi in of_ray[p]:
+            for bi in of_ray[r]:
                 free[bi] = done
             new = m & ~zero
             zero |= new
             while new:
-                low = new & -new
-                new ^= low
-                for bi in of_ray[low.bit_length() - 1]:
+                q = new.bit_length() - 1
+                new ^= 1 << q
+                for bi in of_ray[q]:
                     f = free[bi]
                     if f == done:
                         continue
@@ -219,7 +229,8 @@ def find_ks_assignment(bases: Sequence[Basis],
         bi = free.index(least)
         b = order[bi]
         if b is None:
-            b = order[bi] = sorted(cols[bi], key=shared, reverse=True)
+            b = order[bi] = sorted(bases[bi], key=lambda r: len(of_ray[r]),
+                                   reverse=True)
         return [b, 0, one, zero, free]
 
     stack = [branch(min(free), 0, 0, free)]
@@ -259,7 +270,7 @@ def find_ks_assignment(bases: Sequence[Basis],
         least = min(child)
         if least == done:
             work()
-            return {r: state[0] >> p & 1 for p, r in enumerate(rays)}
+            return {r: state[0] >> r & 1 for r in sorted(rays)}
         stack.append(branch(least, *state, child))
         if len(stack) > depth:
             depth = len(stack)
@@ -267,18 +278,24 @@ def find_ks_assignment(bases: Sequence[Basis],
     return None
 
 
-def _rotation_step(rays: tuple[int, ...], masks: list[int]) -> int:
-    """The first k of 1, 3, 5 such that the rays fill whole blocks of ids
-    1-15, 16-30, ... and σ^k, σ: r -> r+1 inside each block, maps every
-    basis mask to a basis mask; 0 when there is none."""
-    n = len(rays)
-    if not rays or n % ORBIT or rays[0] < 1 or any(
-            rays[i] % ORBIT != 1 or rays[i + ORBIT - 1] != rays[i] + ORBIT - 1
-            for i in range(0, n, ORBIT)):
+def _rotation_step(rays: int, masks: list[int]) -> int:
+    """The first k of 1, 3, 5 such that the rays (a bitset, bit r for ray
+    r) fill whole blocks of ids 1-15, 16-30, ... and σ^k, σ: r -> r+1
+    inside each block as expand_orbit shifts, maps every basis mask to a
+    basis mask; 0 when there is none."""
+    if not rays or rays & 1 or rays.bit_count() % ORBIT:
+        return 0
+    # bit r - 1 for ray r: block j is bits 15j..15j+14, as shift_mask wants
+    rays >>= 1
+    n = -(-rays.bit_length() // ORBIT) * ORBIT
+    if shift_mask(n, 1)(rays) != rays:  # a block σ does not fill
         return 0
     known = set(masks)
-    return next((k for k in (1, 3, 5)
-                 if known.issuperset(map(shift_mask(n, k), masks))), 0)
+    for k in (1, 3, 5):
+        sigma = shift_mask(n, k)
+        if all(sigma(m >> 1) << 1 in known for m in known):
+            return k
+    return 0
 
 
 # --------------------------------------------------------------------------

@@ -165,7 +165,9 @@ def ray_occurrences(bases: Iterable[Basis]) -> Counter[int]:
 def ray_index(bases: Iterable[Basis]
               ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The rays that occur, sorted, and each basis as the positions of its
-    rays in that order."""
+    rays in that order.  Only the incidence matrix of a decomposition and
+    the hypergraph match use it: the assignment search takes ray ids as
+    its bit positions."""
     bases = list(bases)
     rays = tuple(sorted(set(chain.from_iterable(bases))))
     pos = {r: i for i, r in enumerate(rays)}.__getitem__

@@ -206,10 +206,38 @@ def test_criterion_08_decomposition_fixtures(cell120, gosset):
 # but take 3-20 s each.  Every other published proof is searched
 BUDGET_FAILURES = {"abegkri'", "bdklsxy", "fghilmsup'", "abfghikmnsj'"}
 
+# the node count of every refutation criterion 9 runs: each word's, then
+# the sub-proofs of cdy and e1 e2 in incidence_nullspace_proofs order.  A
+# change to the search's tree shows here as a number, not as a slower suite
+CRITERION_09_NODES = {
+    "a": 55, "b": 42,
+    "j": 55, "q": 55, "r'": 42, "s'": 42, "cdy": 102, "def'": 100,
+    "efl'": 100, "fgo'": 102, "abkrf'": 88, "ablto'": 88,
+    "abhilmnsq'": 282, "defghikmsun'": 53_703, "bcdefghiknszq'": 6_349,
+    "bcdelnszd'e'h'k'n'p'q'": 792,
+    "b1": 118, "e1": 2_349, "e2": 2_718, "g1": 2_311, "g2": 2_244,
+    "g3": 2_088, "g4": 2_022, "g5": 2_878, "v1": 126, "z1": 3_025,
+    "z2": 2_533, "z3": 1_766, "b'1": 2_380, "b'2": 1_953, "d'1": 141,
+    "g'1": 132, "a1 c1 e'2": 7_152, "a1 h1 n5": 269, "c1 h1 i4": 1_706,
+    "a1 c1 d1 h1 m1": 70, "a1 c1 h1 m8 c'1": 84,
+    "cdy subs": (206, 206, 204, 102),
+    "e1 e2 subs": (472, 472, 488, 472, 472, 504, 478, 504, 504, 504,
+                   2_349, 8_854, 8_632, 9_077, 9_725, 9_045, 9_107, 9_095,
+                   9_040, 9_025, 9_059, 2_718,
+                   287, 251, 243, 294, 237, 290, 242, 287, 290, 288),
+}
+
+
+def refutation_nodes(p) -> int:
+    """The nodes find_ks_assignment takes to refute a parity proof."""
+    assert verify_parity_proof(p).valid
+    stats = {}
+    assert find_ks_assignment(p.bases(), None, stats) is None
+    return stats["nodes"]
+
 
 def test_criterion_09_ks_property(cell600, cell120, gosset, gosset_words):
-    searched = 0
-    fixtures = []
+    nodes = {}
     gosset_texts = [" ".join(t) for t in gosset_words if len(t) == 1]
     gosset_texts += [t for t, _ in PROOFS_GOSSET if t not in gosset_texts]
     for fixture, texts in (
@@ -219,27 +247,23 @@ def test_criterion_09_ks_property(cell600, cell120, gosset, gosset_words):
             (gosset, gosset_texts)):
         _, _, table, *_rest = fixture
         for text in texts:
-            fixtures.append(proof_from_word(parse_word(text), table))
+            nodes[text] = refutation_nodes(
+                proof_from_word(parse_word(text), table))
     # include the sub-proofs of cdy and of e1e2
-    table2 = cell120[2]
-    tableg = gosset[2]
-    for word, table in (("cdy", table2), ("e1 e2", tableg)):
+    for word, table in (("cdy", cell120[2]), ("e1 e2", gosset[2])):
         p = proof_from_word(parse_word(word), table)
-        for s in incidence_nullspace_proofs(p).proofs:
-            if verify_parity_proof(s).valid:
-                fixtures.append(s)
-    for p in fixtures:
-        if not verify_parity_proof(p).valid:
-            continue
-        assert find_ks_assignment(p.bases()) is None
-        searched += 1
+        nodes[f"{word} subs"] = tuple(
+            map(refutation_nodes, incidence_nullspace_proofs(p).proofs))
+    assert nodes == CRITERION_09_NODES
+    searched = sum(len(n) if isinstance(n, tuple) else 1
+                   for n in nodes.values())
     single = [cell600[2].bases[0]]
     assignment = find_ks_assignment(single)
     assert assignment is not None
     assert sum(assignment.values()) == 1
     ok(9, f"no noncontextual assignment exists for any of {searched} "
-          "verified proofs (exhaustive search); a single basis is "
-          "assignable")
+          "verified proofs (exhaustive search, node counts pinned); a "
+          "single basis is assignable")
 
 
 def test_criterion_10_geometry_counts(gosset):

@@ -151,6 +151,24 @@ def test_empty_instance():
     assert find_ks_assignment([]) == {}
 
 
+def test_ray_ids_must_not_be_negative():
+    """Ray ids are bit positions, so a negative id is refused, and by
+    name, not by Python's bare "negative shift count"."""
+    with pytest.raises(ValueError, match="must not be negative, got -3"):
+        find_ks_assignment([(1, 2), (2, -3, 4)])
+    with pytest.raises(ValueError, match="must not be negative, got -1"):
+        find_ks_assignment([(-1,)], node_budget=0)
+
+
+def test_bases_with_no_rays_have_no_assignment():
+    """Bases that are all empty hold no ray to set to 1: no assignment,
+    found at the root frame without a node."""
+    assert search_stats([()]) == (None, {"nodes": 0, "max_depth": 1,
+                                         "step": 0, "rays_banned": 0})
+    assert find_ks_assignment([(), ()]) is None
+    assert find_ks_assignment([(), (0,)]) is None
+
+
 def test_assignment_covers_exactly_examined_rays(cell120):
     _, _, table, *_ = cell120
     bases = [table.bases[0], table.bases[200]]
@@ -176,9 +194,11 @@ def plain_search(bases, node_budget):
 
 
 def rotation_step(bases) -> int:
-    rays, cols = ray_index(bases)
+    """_rotation_step over masks built as find_ks_assignment builds them:
+    ray r is bit r."""
+    rays = sum(1 << r for r in {r for b in bases for r in b})
     return contextuality._rotation_step(
-        rays, [sum(1 << p for p in set(b)) for b in cols])
+        rays, [sum(1 << r for r in set(b)) for b in bases])
 
 
 # the local positions, in e1 e2, of a 15-basis sub-proof invariant under
@@ -264,6 +284,27 @@ def test_budget_error_carries_the_partial_stats(gosset):
         find_ks_assignment(e1, 100, stats)
     assert stats == caught.value.stats
     assert 1 < stats["max_depth"] <= 7
+
+
+# the published 120-cell proofs that the benchmark searches under a
+# 30,000-node cap, as their search stands at 4,000 nodes: the deepest
+# frame and the depth when the budget ran out (no root branch is refuted
+# and no ray banned by then)
+CAPPED_AT_4000 = {"abegkri'": (26, 17), "bdklsxy": (35, 27),
+                  "fghilmsup'": (27, 21), "abfghikmnsj'": (26, 19),
+                  "defghikmsun'": (26, 11)}
+
+
+def test_capped_searches_are_pinned(cell120):
+    for text, (max_depth, depth) in CAPPED_AT_4000.items():
+        stats = {}
+        with pytest.raises(SearchBudgetExceeded, match=(
+                rf"\(0 of 4 root branches refuted, 0 rays banned, "
+                rf"depth {depth}\)")):
+            find_ks_assignment(word_proof(cell120, text).bases(), 4_000,
+                               stats)
+        assert stats == {"nodes": 4_000, "max_depth": max_depth, "step": 1,
+                         "rays_banned": 0}, text
 
 
 def closed_by_parity(bases):
@@ -429,8 +470,10 @@ def test_rotation_check_rejects(cell120, gosset):
     assert rotation_step(bases[1:]) == 0
     # every id one up: the rays no longer start at a block start
     assert rotation_step([tuple(r + 1 for r in b) for b in bases]) == 0
-    # every id one block down: aligned blocks, but the first is -14..0
-    assert rotation_step([tuple(r - ORBIT for r in b) for b in bases]) == 0
+    # every id one block down: aligned blocks, but the first is -14..0,
+    # and ray ids are bit positions, so the search refuses them
+    with pytest.raises(ValueError, match="negative, got -14"):
+        find_ks_assignment([tuple(r - ORBIT for r in b) for b in bases])
     # the same for a σ^5-invariant sub-proof with one basis removed
     sub = local_bases(gosset, "e1 e2", E1E2_SIGMA5)
     assert rotation_step(sub) == 5
@@ -490,6 +533,24 @@ def test_search_agrees_with_brute_force(bases):
         assert set(assignment) == {r for b in bases for r in b}
         for b in bases:
             assert sum(assignment[r] for r in set(b)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instances, st.integers(0, 1_100),
+       st.lists(st.integers(0, 90), min_size=12, max_size=12))
+def test_search_ignores_increasing_relabelling(bases, start, gaps):
+    """Rays are bit positions, but only their order steers the search:
+    with fewer than 15 rays no σ step applies, and a strictly increasing
+    map of the ids (from id 0 up, with gaps, some past 1,000) leaves the
+    stats unchanged and maps the assignment."""
+    rays = sorted({r for b in bases for r in b})
+    new = {r: start + sum(gaps[:i + 1]) + i for i, r in enumerate(rays)}
+    found, stats = search_stats(bases, 10**6)
+    moved, moved_stats = search_stats(
+        [tuple(new[r] for r in b) for b in bases], 10**6)
+    assert moved_stats == stats
+    assert moved == (None if found is None
+                     else {new[r]: v for r, v in found.items()})
 
 
 # --------------------------------------------------------------------------
